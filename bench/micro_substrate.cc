@@ -112,8 +112,8 @@ void BM_StalenessTrackerApply(benchmark::State& state) {
   double t = 0;
   for (auto _ : state) {
     t += 0.0025;
-    // Advance the clock so expiry events fire and superseded ones are
-    // reclaimed, as in a real run.
+    // Advance the clock so the tracker applies due expiries and pops
+    // superseded heap entries, as in a real run.
     simulator.RunUntil(t);
     tracker.OnApply({db::ObjectClass::kLowImportance,
                      random.UniformInt(0, 499)},
@@ -123,6 +123,32 @@ void BM_StalenessTrackerApply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StalenessTrackerApply);
+
+// A cluster-scale tracker's whole life: build 10^6 MA objects, then
+// apply a steady stream through alpha + 1, so the t = 0 cohort expires
+// once and the stream's own expiries start to fall due.
+void BM_StalenessTrackerMillionObjects(benchmark::State& state) {
+  constexpr int kPerClass = 500000;
+  constexpr double kStep = 0.0025;
+  constexpr int kSteps = 3200;  // through t = 8 = alpha + 1
+  sim::RandomStream random(base::RngSeed(7));
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    db::StalenessTracker tracker(&simulator,
+                                 db::StalenessCriterion::kMaxAge, 7.0,
+                                 kPerClass, kPerClass);
+    for (int step = 1; step <= kSteps; ++step) {
+      const double t = step * kStep;
+      simulator.RunUntil(t);
+      tracker.OnApply({db::ObjectClass::kLowImportance,
+                       random.UniformInt(0, kPerClass - 1)},
+                      t);
+      benchmark::DoNotOptimize(tracker.StaleCount(
+          db::ObjectClass::kLowImportance));
+    }
+  }
+}
+BENCHMARK(BM_StalenessTrackerMillionObjects)->Unit(benchmark::kMillisecond);
 
 void BM_ReadyQueuePopBest(benchmark::State& state) {
   sim::RandomStream random(base::RngSeed(7));

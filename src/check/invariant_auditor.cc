@@ -7,18 +7,18 @@
 #include <utility>
 
 #include "base/check.h"
+#include "base/str_format.h"
 #include "db/staleness.h"
 
 namespace strip::check {
 
 namespace {
 
-// Formats like printf into a std::string (messages are small).
+// Formats like printf into a std::string. Report() nests whole
+// messages, so no fixed buffer is long enough.
 template <typename... Args>
 std::string Format(const char* fmt, Args... args) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer), fmt, args...);
-  return std::string(buffer);
+  return base::StrFormat(fmt, args...);
 }
 
 bool TimesClose(double a, double b) {

@@ -1,6 +1,6 @@
 #include "core/metrics.h"
 
-#include <cstdio>
+#include "base/str_format.h"
 
 namespace strip::core {
 
@@ -45,9 +45,7 @@ double RunMetrics::rho_r() const {
 }
 
 std::string RunMetrics::ToString() const {
-  char buffer[1536];
-  std::snprintf(
-      buffer, sizeof(buffer),
+  std::string out = base::StrFormat(
       "observed %.1fs\n"
       "txns: arrived=%llu committed=%llu (fresh=%llu stale=%llu) "
       "missed=%llu infeasible=%llu stale-aborted=%llu inflight=%llu\n"
@@ -79,7 +77,6 @@ std::string RunMetrics::ToString() const {
       response_p99, uq_length_avg, (unsigned long long)uq_length_max,
       os_length_avg, (unsigned long long)triggers_fired,
       (unsigned long long)io_stalls);
-  std::string out = buffer;
   // The fault block only appears when something fault-related actually
   // happened, keeping no-fault output byte-identical to older builds.
   const bool any_fault_activity =
@@ -89,8 +86,7 @@ std::string RunMetrics::ToString() const {
       updates_shed_by_class[1] != 0 || governor_engagements != 0 ||
       outage_recovery_seconds >= 0 || txns_missed_in_fault != 0;
   if (any_fault_activity) {
-    std::snprintf(
-        buffer, sizeof(buffer),
+    out += base::StrFormat(
         "faults: windows=%llu lost=%llu dup=%llu reordered=%llu "
         "deferred=%llu shed(l=%llu h=%llu) governor(n=%llu t=%.1fs) "
         "recovery=%.3fs max_stale=%.3f missed_in_fault=%llu\n",
@@ -104,7 +100,6 @@ std::string RunMetrics::ToString() const {
         (unsigned long long)governor_engagements,
         governor_engaged_seconds, outage_recovery_seconds,
         max_stale_excursion, (unsigned long long)txns_missed_in_fault);
-    out += buffer;
   }
   // Likewise the cross-shard block: only printed when the run actually
   // exchanged remote reads, so uniprocessor (shards=1) output stays
@@ -115,8 +110,7 @@ std::string RunMetrics::ToString() const {
       remote_heals != 0 || remote_stale_replies != 0 ||
       remote_wait_seconds != 0 || cpu_remote_seconds != 0;
   if (any_remote_activity) {
-    std::snprintf(
-        buffer, sizeof(buffer),
+    out += base::StrFormat(
         "remote: txns=%llu issued=%llu served=%llu orphaned=%llu "
         "heals=%llu stale=%llu wait=%.3fs rho_r=%.3f\n",
         (unsigned long long)txns_cross_shard,
@@ -126,7 +120,6 @@ std::string RunMetrics::ToString() const {
         (unsigned long long)remote_heals,
         (unsigned long long)remote_stale_replies, remote_wait_seconds,
         rho_r());
-    out += buffer;
   }
   // The interconnect block: only when the link model actually bit — a
   // retry, a timeout, a lost message, or a partition window — so
@@ -136,8 +129,7 @@ std::string RunMetrics::ToString() const {
       remote_degraded_reads != 0 || txns_remote_unavailable != 0 ||
       link_messages_lost != 0 || partition_windows != 0;
   if (any_link_activity) {
-    std::snprintf(
-        buffer, sizeof(buffer),
+    out += base::StrFormat(
         "interconnect: retries=%llu timeouts=%llu degraded=%llu "
         "unavailable=%llu lost=%llu partitions(n=%llu t=%.1fs) "
         "reconnect=%.3fs\n",
@@ -148,17 +140,15 @@ std::string RunMetrics::ToString() const {
         (unsigned long long)link_messages_lost,
         (unsigned long long)partition_windows, partition_seconds,
         time_to_reconnect);
-    out += buffer;
   }
   // Cluster-true percentiles: only present on a multi-shard aggregate
   // (the -1 sentinel keeps every other dump byte-identical).
   if (response_p50_cluster >= 0) {
-    std::snprintf(buffer, sizeof(buffer),
-                  "cluster response: p50=%.3fs p95=%.3fs p99=%.3fs "
-                  "(worst-shard p99=%.3fs)\n",
-                  response_p50_cluster, response_p95_cluster,
-                  response_p99_cluster, response_p99);
-    out += buffer;
+    out += base::StrFormat(
+        "cluster response: p50=%.3fs p95=%.3fs p99=%.3fs "
+        "(worst-shard p99=%.3fs)\n",
+        response_p50_cluster, response_p95_cluster, response_p99_cluster,
+        response_p99);
   }
   return out;
 }

@@ -18,6 +18,24 @@
 // write, queue insert/remove, and MA expiry updates a per-object flag
 // and a time-weighted stale count, so the staleness fraction f_old of
 // Section 3.5 is an exact integral rather than a sampled estimate.
+//
+// MA expiries do not go through the simulator. An object's pending
+// expiry is one entry in a tracker-local min-heap ordered by (expiry
+// time, local sequence). Nothing is ever cancelled: re-applying an
+// object that already has an entry leaves it in place, and when it
+// pops before the object's current expiry it is pushed again at that
+// expiry. Only an apply that moves the expiry earlier (possible under
+// MA-arrival) pushes a second entry; the superseded one is skipped
+// when popped. The initial values, all "fresh as of t = 0", form one
+// implicit cohort that expires at alpha in a single pass.
+//
+// Every public entry point except IsStale (which reads timestamps)
+// first catches up: it applies each expiry due at or before now,
+// cohort first, then heap entries in (time, sequence) order,
+// evaluating each at its own expiry time. The stale-count signal thus
+// sees the same (time, value) changes a per-object expiry event would
+// have produced; only same-instant changes can be reordered, and those
+// add nothing to the integral.
 
 #ifndef STRIP_DB_STALENESS_H_
 #define STRIP_DB_STALENESS_H_
@@ -56,8 +74,8 @@ class StalenessTracker {
  public:
   // `max_age` is alpha; it is ignored under kUnappliedUpdate. All
   // objects start fresh with generation time 0 (matching Database's
-  // initial state). The tracker schedules its own MA expiry events on
-  // `simulator`, which must outlive it.
+  // initial state). The tracker reads the clock of `simulator`, which
+  // must outlive it, and schedules no events on it.
   StalenessTracker(sim::Simulator* simulator, StalenessCriterion criterion,
                    sim::Duration max_age, int n_low, int n_high);
 
@@ -89,9 +107,7 @@ class StalenessTracker {
   bool IsStale(ObjectId id) const;
 
   // Number of currently stale objects in a partition.
-  int StaleCount(ObjectClass cls) const {
-    return static_cast<int>(stale_fraction_[static_cast<int>(cls)].value());
-  }
+  int StaleCount(ObjectClass cls) const;
 
   // Fraction of the partition currently stale.
   double FractionStaleNow(ObjectClass cls) const;
@@ -116,21 +132,46 @@ class StalenessTracker {
     // so ordered insert/erase are a short memmove with no allocation,
     // and the UU check reads the max straight off the back.
     std::vector<std::pair<sim::Time, std::uint64_t>> queued;
-    sim::EventQueue::Handle expiry;
+    // Sequence of this object's live expiry-heap entry; 0 if none.
+    std::uint64_t expiry_seq = 0;
+    // Still in the t = 0 cohort: never applied since construction.
+    bool initial = true;
     bool stale = false;
+  };
+
+  // One pending MA expiry. An entry whose `seq` no longer matches the
+  // object's `expiry_seq` was superseded and is skipped.
+  struct Expiry {
+    sim::Time time;
+    std::uint64_t seq;
+    ObjectId id;
+
+    // Heap order: the earliest (time, seq) is the smallest.
+    bool operator>(const Expiry& other) const {
+      return time != other.time ? time > other.time : seq > other.seq;
+    }
   };
 
   ObjectState& state(ObjectId id);
   const ObjectState& state(ObjectId id) const;
 
-  bool ComputeStale(const ObjectState& s) const;
+  bool ComputeStale(const ObjectState& s, sim::Time t) const;
 
-  // Re-evaluates one object's flag and folds any change into the
-  // stale-count signal.
-  void Refresh(ObjectId id);
+  // Re-evaluates one object's flag as of `t` and folds any change into
+  // the stale-count signal at `t`.
+  void Refresh(ObjectId id, sim::Time t);
 
-  // (Re)schedules the MA expiry event for one object.
-  void ScheduleExpiry(ObjectId id);
+  // Arms the MA expiry of an object whose freshness an apply just
+  // moved; `previous_expiry` is its expiry before the apply.
+  void ScheduleExpiry(ObjectId id, sim::Time previous_expiry);
+
+  // Pushes the object's live heap entry, superseding any other.
+  void PushExpiry(ObjectId id, sim::Time expiry_time);
+
+  // Applies every expiry due at or before now. Readers call it too:
+  // it only materializes expiries that have already happened.
+  void CatchUp() const;
+  void ApplyDueExpiries();
 
   bool UsesMaxAge() const {
     return criterion_ != StalenessCriterion::kUnappliedUpdate;
@@ -141,6 +182,12 @@ class StalenessTracker {
   sim::Duration max_age_;
   std::vector<ObjectState> low_;
   std::vector<ObjectState> high_;
+  // Min-heap on (time, seq) of pending expiries.
+  std::vector<Expiry> expiries_;
+  std::uint64_t next_expiry_seq_ = 1;
+  // When the t = 0 cohort expires, and whether it still has to.
+  sim::Time cohort_time_ = 0;
+  bool cohort_pending_ = false;
   // Stale *count* per class, integrated over time.
   sim::TimeWeighted stale_fraction_[kNumObjectClasses];
 };

@@ -1,9 +1,10 @@
 #include "obs/trace/trace_analysis.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
+
+#include "base/str_format.h"
 
 namespace strip::obs::trace {
 
@@ -409,28 +410,24 @@ std::optional<CriticalPath> ExtractCriticalPath(
 }
 
 void PrintCriticalPath(std::ostream& out, const CriticalPath& path) {
-  char buffer[160];
-  std::snprintf(buffer, sizeof(buffer),
-                "critical path: txn %llu  outcome=%s\n",
-                static_cast<unsigned long long>(path.txn),
-                path.outcome.empty() ? "(window cut)"
-                                     : path.outcome.c_str());
-  out << buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "  admitted=%.6fs terminal=%.6fs running=%.6fs "
-                "waiting=%.6fs\n",
-                path.admitted, path.terminal, path.running_seconds,
-                path.waiting_seconds);
-  out << buffer;
+  // The outcome and times come from a parsed trace, so no fixed buffer
+  // bounds them.
+  out << base::StrFormat("critical path: txn %llu  outcome=%s\n",
+                         static_cast<unsigned long long>(path.txn),
+                         path.outcome.empty() ? "(window cut)"
+                                              : path.outcome.c_str());
+  out << base::StrFormat(
+      "  admitted=%.6fs terminal=%.6fs running=%.6fs waiting=%.6fs\n",
+      path.admitted, path.terminal, path.running_seconds,
+      path.waiting_seconds);
   for (const CriticalPathStep& step : path.steps) {
     if (step.end > step.start) {
-      std::snprintf(buffer, sizeof(buffer), "  [%.6f .. %.6f] %9.1fus  ",
-                    step.start, step.end, (step.end - step.start) * 1e6);
+      out << base::StrFormat("  [%.6f .. %.6f] %9.1fus  ", step.start,
+                             step.end, (step.end - step.start) * 1e6);
     } else {
-      std::snprintf(buffer, sizeof(buffer), "  [%.6f]                   ",
-                    step.start);
+      out << base::StrFormat("  [%.6f]                   ", step.start);
     }
-    out << buffer << step.what;
+    out << step.what;
     if (!step.note.empty()) out << "  <- " << step.note;
     out << "\n";
   }

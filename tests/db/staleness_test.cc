@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <queue>
+#include <utility>
+#include <vector>
+
+#include "sim/random.h"
 #include "sim/simulator.h"
+#include "sim/stats.h"
 
 namespace strip::db {
 namespace {
@@ -295,6 +305,299 @@ TEST(StalenessTrackerTest, AccessorsExposeConfiguration) {
   EXPECT_EQ(tracker.criterion(), StalenessCriterion::kMaxAge);
   EXPECT_DOUBLE_EQ(tracker.max_age(), 7.0);
 }
+
+// ---------- lazy expiry vs per-object expiry events ---------------------------
+
+TEST(LazyExpiryTest, MillionObjectTrackerSchedulesNoEvents) {
+  sim::Simulator sim;
+  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 7.0, 500000,
+                           500000);
+  EXPECT_EQ(sim.events_pending(), 0u);
+  tracker.OnApply({ObjectClass::kLowImportance, 3}, 0.0);
+  EXPECT_EQ(sim.events_pending(), 0u);
+  sim.RunUntil(7.0);
+  // The whole t = 0 cohort expires at exactly alpha.
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 500000);
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kHighImportance), 500000);
+}
+
+TEST(LazyExpiryTest, ReappliedObjectExpiresOnceAtItsNewestTime) {
+  sim::Simulator sim;
+  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 7.0, 1, 1);
+  sim.RunUntil(1.0);
+  tracker.OnApply(kObj, 1.0);  // leaves the cohort; expiry armed at 8
+  sim.RunUntil(3.0);
+  tracker.OnApply(kObj, 3.0);  // supersedes it; expiry now at 10
+  sim.RunUntil(8.5);
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 0);
+  sim.RunUntil(10.0);
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 1);
+  sim.RunUntil(12.0);
+  // Stale only over [10, 12] of [0, 12]: the superseded entry at 8 and
+  // the cohort at 7 never counted.
+  EXPECT_EQ(tracker.FractionStaleAverage(ObjectClass::kLowImportance, 12.0),
+            2.0 / 12.0);
+}
+
+// The tracker as it was when every MA expiry was its own simulator
+// event: one event per fresh object, cancelled and rescheduled on each
+// apply. The lazy heap and t = 0 cohort must reproduce it bit for bit.
+class EventExpiryTracker {
+ public:
+  EventExpiryTracker(sim::Simulator* simulator, StalenessCriterion criterion,
+                     sim::Duration max_age, int n_low, int n_high)
+      : simulator_(simulator),
+        criterion_(criterion),
+        max_age_(max_age),
+        objects_{std::vector<ObjectState>(static_cast<std::size_t>(n_low)),
+                 std::vector<ObjectState>(static_cast<std::size_t>(n_high))} {
+    for (sim::TimeWeighted& signal : stale_) {
+      signal.StartAt(simulator_->now(), 0.0);
+    }
+    if (!UsesMaxAge()) return;
+    for (int i = 0; i < n_low; ++i) {
+      ScheduleExpiry({ObjectClass::kLowImportance, i});
+    }
+    for (int i = 0; i < n_high; ++i) {
+      ScheduleExpiry({ObjectClass::kHighImportance, i});
+    }
+  }
+
+  void ResetObservation() {
+    for (sim::TimeWeighted& signal : stale_) {
+      signal.StartAt(simulator_->now(), signal.value());
+    }
+  }
+
+  void OnApply(ObjectId id, sim::Time generation, sim::Time arrival) {
+    ObjectState& s = state(id);
+    s.db_generation = generation;
+    s.freshness = criterion_ == StalenessCriterion::kMaxAgeArrival
+                      ? arrival
+                      : generation;
+    if (UsesMaxAge()) ScheduleExpiry(id);
+    Refresh(id);
+  }
+
+  void OnEnqueued(const Update& update) {
+    ObjectState& s = state(update.object);
+    const Key key{update.generation_time, update.id.value()};
+    s.queued.insert(std::upper_bound(s.queued.begin(), s.queued.end(), key),
+                    key);
+    Refresh(update.object);
+  }
+
+  void OnRemovedFromQueue(const Update& update) {
+    ObjectState& s = state(update.object);
+    const Key key{update.generation_time, update.id.value()};
+    s.queued.erase(std::lower_bound(s.queued.begin(), s.queued.end(), key));
+    Refresh(update.object);
+  }
+
+  bool IsStale(ObjectId id) { return ComputeStale(state(id)); }
+
+  int StaleCount(ObjectClass cls) const {
+    return static_cast<int>(signal(cls).value());
+  }
+
+  double FractionStaleNow(ObjectClass cls) const {
+    return signal(cls).value() / Size(cls);
+  }
+
+  double FractionStaleAverage(ObjectClass cls, sim::Time end) const {
+    return signal(cls).Average(end) / Size(cls);
+  }
+
+ private:
+  using Key = std::pair<sim::Time, std::uint64_t>;
+  struct ObjectState {
+    sim::Time db_generation = 0;
+    sim::Time freshness = 0;
+    std::vector<Key> queued;
+    sim::EventQueue::Handle expiry;
+    bool stale = false;
+  };
+
+  bool UsesMaxAge() const {
+    return criterion_ != StalenessCriterion::kUnappliedUpdate;
+  }
+  ObjectState& state(ObjectId id) {
+    return objects_[static_cast<int>(id.cls)]
+                   [static_cast<std::size_t>(id.index)];
+  }
+  const sim::TimeWeighted& signal(ObjectClass cls) const {
+    return stale_[static_cast<int>(cls)];
+  }
+  double Size(ObjectClass cls) const {
+    return static_cast<double>(objects_[static_cast<int>(cls)].size());
+  }
+
+  bool ComputeStale(const ObjectState& s) const {
+    const bool ma = simulator_->now() - s.freshness >= max_age_;
+    const bool uu =
+        !s.queued.empty() && s.queued.back().first > s.db_generation;
+    switch (criterion_) {
+      case StalenessCriterion::kMaxAge:
+      case StalenessCriterion::kMaxAgeArrival:
+        return ma;
+      case StalenessCriterion::kUnappliedUpdate:
+        return uu;
+      case StalenessCriterion::kCombined:
+        return ma || uu;
+    }
+    return false;
+  }
+
+  void Refresh(ObjectId id) {
+    ObjectState& s = state(id);
+    const bool now_stale = ComputeStale(s);
+    if (now_stale == s.stale) return;
+    s.stale = now_stale;
+    sim::TimeWeighted& signal = stale_[static_cast<int>(id.cls)];
+    signal.Set(simulator_->now(), signal.value() + (now_stale ? 1.0 : -1.0));
+  }
+
+  void ScheduleExpiry(ObjectId id) {
+    ObjectState& s = state(id);
+    simulator_->Cancel(s.expiry);
+    const sim::Time expiry_time = s.freshness + max_age_;
+    if (expiry_time <= simulator_->now()) {
+      Refresh(id);
+      return;
+    }
+    s.expiry =
+        simulator_->ScheduleAt(expiry_time, [this, id] { Refresh(id); });
+  }
+
+  sim::Simulator* simulator_;
+  StalenessCriterion criterion_;
+  sim::Duration max_age_;
+  std::vector<ObjectState> objects_[kNumObjectClasses];
+  sim::TimeWeighted stale_[kNumObjectClasses];
+};
+
+class LazyExpiryEquivalenceTest
+    : public ::testing::TestWithParam<StalenessCriterion> {};
+
+// A randomized churn of applies, enqueues, removals and reads, driven
+// by one clock for both trackers. Op times land on exactly alpha, on
+// armed expiry instants and on repeated instants as well as between
+// them. After every op the two must agree to the bit.
+TEST_P(LazyExpiryEquivalenceTest, MatchesPerObjectEventsBitForBit) {
+  constexpr double kAlpha = 2.0;
+  constexpr int kLow = 40;
+  constexpr int kHigh = 24;
+  constexpr int kOps = 100000;
+  const StalenessCriterion criterion = GetParam();
+  sim::Simulator sim;
+  StalenessTracker lazy(&sim, criterion, kAlpha, kLow, kHigh);
+  EventExpiryTracker reference(&sim, criterion, kAlpha, kLow, kHigh);
+  sim::RandomStream random(base::RngSeed(static_cast<std::uint64_t>(
+      17 + static_cast<int>(criterion))));
+
+  std::vector<double> db_generation(kLow + kHigh, 0.0);
+  std::vector<Update> queued;
+  // Expiry instants armed so far; the next op can land exactly on one.
+  std::priority_queue<double, std::vector<double>, std::greater<>> armed;
+  armed.push(kAlpha);
+  std::uint64_t next_update_id = 1;
+  double now = 0;
+
+  for (int op = 0; op < kOps; ++op) {
+    double next = now + random.Exponential(0.01);
+    const double landing = random.Uniform(0, 1);
+    while (!armed.empty() && armed.top() < now) armed.pop();
+    if (landing < 0.15 && !armed.empty()) {
+      next = armed.top();
+    } else if (landing < 0.25) {
+      next = now;
+    }
+    if (now < kAlpha && next > kAlpha) next = kAlpha;
+    now = next;
+    sim.RunUntil(now);
+
+    const int k = random.UniformInt(0, kLow + kHigh - 1);
+    const ObjectId id = k < kLow
+                            ? ObjectId{ObjectClass::kLowImportance, k}
+                            : ObjectId{ObjectClass::kHighImportance, k - kLow};
+    switch (random.UniformInt(0, 3)) {
+      case 0: {  // apply, sometimes of a value already older than alpha
+        const double generation = std::max(
+            db_generation[k], now - random.Uniform(0, 1.5 * kAlpha));
+        const double arrival =
+            std::min(now, generation + random.Uniform(0, 0.5 * kAlpha));
+        db_generation[k] = generation;
+        lazy.OnApply(id, generation, arrival);
+        reference.OnApply(id, generation, arrival);
+        armed.push((criterion == StalenessCriterion::kMaxAgeArrival
+                        ? arrival
+                        : generation) +
+                   kAlpha);
+        break;
+      }
+      case 1: {  // enqueue
+        const Update u = MakeUpdate(next_update_id++,
+                                    now - random.Uniform(0, kAlpha), id);
+        queued.push_back(u);
+        lazy.OnEnqueued(u);
+        reference.OnEnqueued(u);
+        break;
+      }
+      case 2: {  // remove
+        if (queued.empty()) break;
+        const auto victim = static_cast<std::size_t>(
+            random.UniformInt(0, static_cast<int>(queued.size()) - 1));
+        lazy.OnRemovedFromQueue(queued[victim]);
+        reference.OnRemovedFromQueue(queued[victim]);
+        queued[victim] = queued.back();
+        queued.pop_back();
+        break;
+      }
+      default:  // read only; now and then restart the observation
+        if (random.WithProbability(0.002)) {
+          lazy.ResetObservation();
+          reference.ResetObservation();
+        }
+        break;
+    }
+
+    ASSERT_EQ(lazy.IsStale(id), reference.IsStale(id)) << "op " << op;
+    for (const ObjectClass cls :
+         {ObjectClass::kLowImportance, ObjectClass::kHighImportance}) {
+      ASSERT_EQ(lazy.StaleCount(cls), reference.StaleCount(cls))
+          << "op " << op << " t=" << now;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(lazy.FractionStaleNow(cls)),
+                std::bit_cast<std::uint64_t>(reference.FractionStaleNow(cls)))
+          << "op " << op << " t=" << now;
+      ASSERT_EQ(
+          std::bit_cast<std::uint64_t>(lazy.FractionStaleAverage(cls, now)),
+          std::bit_cast<std::uint64_t>(
+              reference.FractionStaleAverage(cls, now)))
+          << "op " << op << " t=" << now;
+    }
+  }
+  EXPECT_GT(now, 100 * kAlpha);  // the churn spans many expiry rounds
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCriteria, LazyExpiryEquivalenceTest,
+    ::testing::Values(StalenessCriterion::kMaxAge,
+                      StalenessCriterion::kUnappliedUpdate,
+                      StalenessCriterion::kCombined,
+                      StalenessCriterion::kMaxAgeArrival),
+    [](const ::testing::TestParamInfo<StalenessCriterion>& param) {
+      switch (param.param) {
+        case StalenessCriterion::kMaxAge:
+          return "MA";
+        case StalenessCriterion::kUnappliedUpdate:
+          return "UU";
+        case StalenessCriterion::kCombined:
+          return "Combined";
+        case StalenessCriterion::kMaxAgeArrival:
+          return "MaxAgeArrival";
+      }
+      return "Unknown";
+    });
 
 }  // namespace
 }  // namespace strip::db

@@ -46,19 +46,14 @@ void PrintEvents(const std::vector<ParsedEvent>& events) {
   std::printf("%-18s %14s %8s %8s %10s %-18s %s\n", "kind", "time", "txn",
               "update", "object", "detail", "reason");
   for (const ParsedEvent& event : events) {
-    char txn[24] = "";
-    char update[24] = "";
-    if (event.txn != kNoId) {
-      std::snprintf(txn, sizeof(txn), "%llu",
-                    static_cast<unsigned long long>(event.txn));
-    }
-    if (event.update != kNoId) {
-      std::snprintf(update, sizeof(update), "%llu",
-                    static_cast<unsigned long long>(event.update));
-    }
+    const std::string txn =
+        event.txn != kNoId ? std::to_string(event.txn) : std::string();
+    const std::string update =
+        event.update != kNoId ? std::to_string(event.update) : std::string();
     std::printf("%-18s %14.6f %8s %8s %10s %-18s %s\n", event.kind.c_str(),
-                event.time, txn, update, event.object.c_str(),
-                event.detail.c_str(), event.reason.c_str());
+                event.time, txn.c_str(), update.c_str(),
+                event.object.c_str(), event.detail.c_str(),
+                event.reason.c_str());
   }
 }
 
@@ -197,14 +192,12 @@ int main(int argc, char** argv) {
         std::printf("\nremote robustness events:\n");
         any_remote = true;
       }
-      char txn[24] = "";
-      if (event.txn != kNoId) {
-        std::snprintf(txn, sizeof(txn), " txn=%llu",
-                      static_cast<unsigned long long>(event.txn));
-      }
+      const std::string txn = event.txn != kNoId
+                                  ? " txn=" + std::to_string(event.txn)
+                                  : std::string();
       std::printf("  %14.6f shard %d %-16s %-12s%s\n", event.time,
                   event.shard, event.kind.c_str(), event.detail.c_str(),
-                  txn);
+                  txn.c_str());
     }
     // Fault windows give the decision counts their context: which
     // injected windows were open during the traced interval.
