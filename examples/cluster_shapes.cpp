@@ -82,8 +82,7 @@ int main(int argc, char** argv) {
   spec.cluster.link_loss_p = 0.005;
 
   // Grid 1: the shard count is the x axis. apply_x_cluster edits the
-  // cluster shape per cell; shards == 1 cells still run the Cluster
-  // path, byte-identical to a bare System run.
+  // cluster shape per cell.
   spec.x_name = "shards";
   spec.x_values = {1, 2, 4, 8};
   spec.apply_x_cluster = [](strip::core::ShardedConfig& config, double x) {

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <string>
 
+#include "exp/config_flags.h"
+
 namespace strip::exp {
 
 namespace {
@@ -26,6 +28,13 @@ bool ConsumePrefix(const char* arg, const char* prefix,
   std::exit(2);
 }
 
+// A numeric flag whose value does not parse fails on one line naming
+// the flag, with the usage error's exit code.
+[[noreturn]] void BadValue(const char* program, const char* arg) {
+  std::fprintf(stderr, "%s: %s\n", program, BadFlagValue(arg).c_str());
+  std::exit(2);
+}
+
 }  // namespace
 
 BenchArgs BenchArgs::Parse(int argc, char** argv) {
@@ -34,13 +43,13 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
     const char* arg = argv[i];
     const char* rest = nullptr;
     if (ConsumePrefix(arg, "--seconds=", &rest)) {
-      args.seconds = std::atof(rest);
+      if (!ParseDouble(rest, &args.seconds)) BadValue(argv[0], arg);
     } else if (ConsumePrefix(arg, "--reps=", &rest)) {
-      args.replications = std::atoi(rest);
+      if (!ParseInt(rest, &args.replications)) BadValue(argv[0], arg);
     } else if (ConsumePrefix(arg, "--seed=", &rest)) {
-      args.seed = std::strtoull(rest, nullptr, 10);
+      if (!ParseUint64(rest, &args.seed)) BadValue(argv[0], arg);
     } else if (ConsumePrefix(arg, "--jobs=", &rest)) {
-      args.parallel.jobs = std::atoi(rest);
+      if (!ParseInt(rest, &args.parallel.jobs)) BadValue(argv[0], arg);
     } else if (ConsumePrefix(arg, "--threads=", &rest)) {
       std::fprintf(stderr,
                    "%s: --threads= was removed; use --jobs=%s\n", argv[0],

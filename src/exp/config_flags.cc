@@ -1,8 +1,10 @@
 #include "exp/config_flags.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 #include "fault/fault_schedule.h"
@@ -36,26 +38,6 @@ struct FlagRow {
 
 using FlagDef = FlagRow<Config>;
 using ShardedFlagDef = FlagRow<ShardedConfig>;
-
-bool ParseDouble(const std::string& s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') return false;
-  // "nan"/"inf" parse fine but every range check downstream is an
-  // ordered comparison that NaN slips through; reject them here with a
-  // clear message instead of producing NaN results.
-  if (!std::isfinite(v)) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseInt(const std::string& s, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') return false;
-  *out = static_cast<int>(v);
-  return true;
-}
 
 bool ParseBool(const std::string& s, bool* out) {
   if (s == "true" || s == "1" || s == "TRUE" || s == "on") {
@@ -647,6 +629,50 @@ std::optional<std::string> ApplyArgv(int argc, char** argv, C& config,
 }
 
 }  // namespace
+
+bool ParseDouble(const std::string& s, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0') return false;
+  // "nan"/"inf" parse fine but every range check downstream is an
+  // ordered comparison that NaN slips through; reject them here with a
+  // clear message instead of producing NaN results.
+  if (!std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseInt(const std::string& s, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s.c_str(), &end, 10);
+  if (end == s.c_str() || *end != '\0') return false;
+  // A long that does not fit an int would otherwise wrap silently
+  // (4294967298 -> 2).
+  if (errno == ERANGE || v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
+bool ParseUint64(const std::string& s, std::uint64_t* out) {
+  // strtoull accepts a sign ("-1" wraps to 2^64 - 1) and leading
+  // blanks; a seed is digits only.
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = static_cast<std::uint64_t>(v);
+  return true;
+}
+
+std::string BadFlagValue(const std::string& arg) {
+  const std::size_t eq = arg.find('=');
+  return "bad value for " + arg.substr(0, eq) + ": " + arg.substr(eq + 1);
+}
 
 std::optional<std::string> ApplyConfigFlag(const std::string& assignment,
                                            core::Config& config) {

@@ -16,6 +16,7 @@
 #ifndef STRIP_EXP_CONFIG_FLAGS_H_
 #define STRIP_EXP_CONFIG_FLAGS_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -45,6 +46,19 @@ namespace strip::exp {
 [[nodiscard]] std::optional<std::string> ApplyConfigFlags(
     int argc, char** argv, core::ShardedConfig& config,
     std::vector<std::string>* unconsumed);
+
+// Checked scalar parsers behind every numeric flag, shared with the
+// tools' own runner flags (--seed, --reps, --jobs, ...). Each returns
+// false, leaving *out untouched, unless the whole string is one value
+// that fits the type: no trailing text, no wrap-around, and for
+// ParseDouble no nan/inf. ParseUint64 takes digits only.
+[[nodiscard]] bool ParseDouble(const std::string& s, double* out);
+[[nodiscard]] bool ParseInt(const std::string& s, int* out);
+[[nodiscard]] bool ParseUint64(const std::string& s, std::uint64_t* out);
+// The one-line error for a runner flag "--name=value" whose value did
+// not parse: "bad value for --name: value", worded like a config
+// flag's.
+std::string BadFlagValue(const std::string& arg);
 
 // All accepted base-config flag names (for --help output).
 std::vector<std::string> ConfigFlagNames();

@@ -18,34 +18,6 @@ using Clock = std::chrono::steady_clock;
 // exact event sequence of an unsliced run (Simulator::RunUntil
 // dispatches each event once across successive calls), so results are
 // identical to RunOnce unless the deadline actually fires.
-core::RunMetrics RunOnceUntil(const core::Config& config,
-                              std::uint64_t seed, const RunHook& hook,
-                              const RunContext& context,
-                              Clock::time_point deadline,
-                              double slice_sim_seconds, bool* timed_out) {
-  if (slice_sim_seconds <= 0) slice_sim_seconds = 5.0;
-  sim::Simulator simulator;
-  core::System system(&simulator, config, base::RngSeed(seed));
-  RunFinisher finish;
-  if (hook) finish = hook(system, context);
-  core::RunMetrics metrics;
-  while (true) {
-    if (system.RunSlice(slice_sim_seconds)) {
-      metrics = system.metrics();
-      break;
-    }
-    if (Clock::now() >= deadline) {
-      metrics = system.HaltEarly();
-      if (timed_out != nullptr) *timed_out = true;
-      break;
-    }
-  }
-  if (finish) finish(metrics);
-  return metrics;
-}
-
-// Sharded twin of RunOnceUntil: same deadline/slice contract, driving
-// a Cluster instead of a bare System.
 core::RunMetrics ClusterRunOnceUntil(const core::ShardedConfig& config,
                                      std::uint64_t seed,
                                      const ClusterRunHook& hook,
@@ -76,38 +48,6 @@ core::RunMetrics ClusterRunOnceUntil(const core::ShardedConfig& config,
 
 }  // namespace
 
-core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed) {
-  return RunOnce(config, seed, nullptr, RunContext{});
-}
-
-core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed,
-                         const RunHook& hook, const RunContext& context) {
-  sim::Simulator simulator;
-  core::System system(&simulator, config, base::RngSeed(seed));
-  // The finisher is declared after the System so its destruction (and
-  // with it any observers it owns) happens first, while the bus the
-  // observers detach from is still alive.
-  RunFinisher finish;
-  if (hook) finish = hook(system, context);
-  const core::RunMetrics metrics = system.Run();
-  if (finish) finish(metrics);
-  return metrics;
-}
-
-core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed,
-                         const RunHook& hook, const RunContext& context,
-                         const RunBudget& budget, bool* timed_out) {
-  if (timed_out != nullptr) *timed_out = false;
-  if (budget.wall_seconds <= 0) {
-    return RunOnce(config, seed, hook, context);
-  }
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(budget.wall_seconds));
-  return RunOnceUntil(config, seed, hook, context, deadline,
-                      budget.slice_sim_seconds, timed_out);
-}
-
 core::RunMetrics RunOnce(const core::ShardedConfig& config,
                          std::uint64_t seed) {
   return RunOnce(config, seed, nullptr, RunContext{});
@@ -118,9 +58,9 @@ core::RunMetrics RunOnce(const core::ShardedConfig& config,
                          const RunContext& context) {
   sim::Simulator simulator;
   core::Cluster cluster(&simulator, config, base::RngSeed(seed));
-  // Finisher after the Cluster for the same destruction-order reason
-  // as the System overload: hook-owned observers detach before the
-  // shard engines (and their buses) go away.
+  // The finisher is declared after the Cluster so its destruction (and
+  // with it any observers it owns) happens first, while the shard
+  // engines' buses the observers detach from are still alive.
   RunFinisher finish;
   if (hook) finish = hook(cluster, context);
   const core::RunMetrics metrics = cluster.Run();
@@ -143,28 +83,6 @@ core::RunMetrics RunOnce(const core::ShardedConfig& config,
                              budget.slice_sim_seconds, timed_out);
 }
 
-std::vector<core::RunMetrics> Replicate(const core::Config& config,
-                                        int replications,
-                                        std::uint64_t base_seed) {
-  return Replicate(config, replications, base_seed, nullptr);
-}
-
-std::vector<core::RunMetrics> Replicate(const core::Config& config,
-                                        int replications,
-                                        std::uint64_t base_seed,
-                                        const RunHook& hook) {
-  STRIP_CHECK_MSG(replications > 0, "need at least one replication");
-  std::vector<core::RunMetrics> runs;
-  runs.reserve(replications);
-  for (int r = 0; r < replications; ++r) {
-    RunContext context;
-    context.replication = r;
-    context.seed = base_seed + static_cast<std::uint64_t>(r);
-    runs.push_back(RunOnce(config, context.seed, hook, context));
-  }
-  return runs;
-}
-
 std::vector<core::RunMetrics> Replicate(const core::ShardedConfig& config,
                                         int replications,
                                         std::uint64_t base_seed) {
@@ -182,7 +100,6 @@ std::vector<core::RunMetrics> Replicate(const core::ShardedConfig& config,
     RunContext context;
     context.replication = r;
     context.seed = base_seed + static_cast<std::uint64_t>(r);
-    context.shards = config.shards;
     runs.push_back(RunOnce(config, context.seed, hook, context));
   }
   return runs;
@@ -229,6 +146,11 @@ SweepResult RunSweep(const SweepSpec& spec) {
   STRIP_CHECK_MSG(spec.apply_x != nullptr || spec.apply_x_cluster != nullptr,
                   "sweep needs an apply_x or apply_x_cluster");
   STRIP_CHECK_MSG(spec.replications > 0, "sweep needs replications");
+  STRIP_CHECK_MSG(spec.on_run == nullptr ||
+                      (spec.cluster.shards == 1 &&
+                       spec.apply_x_cluster == nullptr &&
+                       spec.on_cluster_run == nullptr),
+                  "on_run observes one-shard sweeps only; use on_cluster_run");
 
   SweepResult result(spec.policies.size(), spec.x_values.size(),
                      spec.replications);
@@ -238,7 +160,7 @@ SweepResult RunSweep(const SweepSpec& spec) {
   // budget and finishes as a unit — on_cell_done sees all of its runs
   // together, which is what lets a runner persist cell files
   // atomically for --resume. Every worker runs fully isolated
-  // Simulation/RNG state (a fresh Simulator + System per run, seeded
+  // Simulation/RNG state (a fresh Simulator + Cluster per run, seeded
   // from the spec), and results land in index-addressed SweepResult
   // cells, so the merged result is byte-identical for any job count.
   struct Task {
@@ -253,25 +175,25 @@ SweepResult RunSweep(const SweepSpec& spec) {
     }
   }
 
+  // on_run is the one-shard shorthand: it observes the cluster's only
+  // engine.
+  ClusterRunHook hook = spec.on_cluster_run;
+  if (spec.on_run) {
+    hook = [&spec](core::Cluster& cluster, const RunContext& context) {
+      return spec.on_run(cluster.shard(0), context);
+    };
+  }
+
   ParallelRunner runner(spec.parallel);
   std::size_t cells_done = 0;
   runner.Run(tasks.size(), [&](std::size_t i) {
     const Task& task = tasks[i];
-    core::Config config = spec.base;
-    config.policy = spec.policies[task.policy_index];
-    if (spec.apply_x) spec.apply_x(config, spec.x_values[task.x_index]);
-    // Sharded sweeps wrap the finished cell config in the spec's
-    // cluster shape; at the default shards == 1 (and no cluster x
-    // axis) the historical single-System path below runs untouched.
-    // A cluster-scoped x axis forces the Cluster path for every cell
-    // so the shape it sets (shard count, link latency) takes effect.
-    core::ShardedConfig cell_cluster = spec.cluster;
-    cell_cluster.base = config;
-    if (spec.apply_x_cluster) {
-      spec.apply_x_cluster(cell_cluster, spec.x_values[task.x_index]);
-    }
-    const bool sharded =
-        spec.apply_x_cluster != nullptr || spec.cluster.shards > 1;
+    const double x = spec.x_values[task.x_index];
+    core::ShardedConfig config = spec.cluster;
+    config.base = spec.base;
+    config.base.policy = spec.policies[task.policy_index];
+    if (spec.apply_x) spec.apply_x(config.base, x);
+    if (spec.apply_x_cluster) spec.apply_x_cluster(config, x);
     std::vector<core::RunMetrics>& runs =
         result.mutable_cell(task.policy_index, task.x_index);
     // The cell's wall-clock budget is per-worker: it starts when a
@@ -293,24 +215,12 @@ SweepResult RunSweep(const SweepSpec& spec) {
       context.x_index = task.x_index;
       context.replication = r;
       context.seed = spec.base_seed + static_cast<std::uint64_t>(r);
-      if (sharded) {
-        context.shards = cell_cluster.shards;
-        runs[static_cast<std::size_t>(r)] =
-            budgeted ? ClusterRunOnceUntil(cell_cluster, context.seed,
-                                           spec.on_cluster_run, context,
-                                           deadline,
-                                           spec.budget.slice_sim_seconds,
-                                           &cell_timed_out)
-                     : RunOnce(cell_cluster, context.seed,
-                               spec.on_cluster_run, context);
-      } else {
-        runs[static_cast<std::size_t>(r)] =
-            budgeted ? RunOnceUntil(config, context.seed, spec.on_run,
-                                    context, deadline,
-                                    spec.budget.slice_sim_seconds,
-                                    &cell_timed_out)
-                     : RunOnce(config, context.seed, spec.on_run, context);
-      }
+      runs[static_cast<std::size_t>(r)] =
+          budgeted ? ClusterRunOnceUntil(config, context.seed, hook, context,
+                                         deadline,
+                                         spec.budget.slice_sim_seconds,
+                                         &cell_timed_out)
+                   : RunOnce(config, context.seed, hook, context);
     }
     if (spec.on_cell_done || spec.on_progress) {
       // Durable cell writes and progress share one serialized

@@ -1,5 +1,10 @@
 // Experiment driving: single runs, replication, and parameter sweeps.
 //
+// Every run is a core::Cluster run. A one-shard Cluster builds exactly
+// one System and is pinned metric- and byte-identical to a bare System
+// (tests/core/cluster_identity_test.cc), so the paper's uniprocessor
+// model is simply a ShardedConfig with shards == 1.
+//
 // A sweep is the unit the paper's figures are made of: one x-axis
 // parameter swept over a set of values, crossed with a set of
 // scheduling policies, each cell replicated over several seeds. Cells
@@ -52,36 +57,32 @@ struct RunContext {
   std::size_t x_index = 0;
   int replication = 0;
   std::uint64_t seed = 0;
-  // Cluster shape of the run: 1 for classic single-System runs. Hooks
-  // that attach per-shard sinks read this to size their fan-out.
-  int shards = 1;
 };
 
 // Called with the run's metrics after Run() completes, while the
 // System is still alive.
 using RunFinisher = std::function<void(const core::RunMetrics&)>;
 
-// Observation hook: called with the freshly wired System before Run()
-// — attach observers (telemetry, trace writers) here; they must stay
-// alive for the run, e.g. owned by the returned finisher. The returned
-// finisher (may be null) runs after Run() with the run's metrics.
-// Sweeps call hooks concurrently from worker threads; hooks must not
-// share mutable state across runs without synchronization.
-using RunHook =
-    std::function<RunFinisher(core::System&, const RunContext&)>;
-
-// Sharded variant: receives the freshly wired Cluster before Run() —
+// Observation hook: receives the freshly wired Cluster before Run() —
 // attach observers per shard (cluster.shard(s).AddObserver) or on all
-// shards. The returned finisher (may be null) runs after Run() with
-// the *aggregate* metrics; per-shard metrics stay readable through the
-// Cluster reference for the finisher's lifetime.
+// shards; they must stay alive for the run, e.g. owned by the returned
+// finisher. The returned finisher (may be null) runs after Run() with
+// the *aggregate* metrics (at one shard, the shard's own); per-shard
+// metrics stay readable through the Cluster reference for the
+// finisher's lifetime. Sweeps call hooks concurrently from worker
+// threads; hooks must not share mutable state across runs without
+// synchronization.
 using ClusterRunHook =
     std::function<RunFinisher(core::Cluster&, const RunContext&)>;
 
+// One-shard convenience form of ClusterRunHook, called with the
+// cluster's only System (see SweepSpec::on_run).
+using RunHook =
+    std::function<RunFinisher(core::System&, const RunContext&)>;
+
 // Wall-clock budget for one run (or one sweep cell across its
 // replications). wall_seconds <= 0 means unbudgeted: the run executes
-// exactly like the historical single-call path, with identical
-// results. With a budget, the simulation advances in slices of
+// in one Run() call. With a budget, the simulation advances in slices of
 // slice_sim_seconds simulated seconds, checking the wall clock
 // between slices; on overrun the run is finalized early at the point
 // reached (slicing itself never changes results — the event sequence
@@ -91,26 +92,16 @@ struct RunBudget {
   double slice_sim_seconds = 5.0;
 };
 
-// Runs one configuration to completion with one seed. The optional
-// hook observes the run (see RunHook).
-core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed);
-core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed,
-                         const RunHook& hook, const RunContext& context);
-// Budgeted variant: on wall-clock overrun the run is cut short
-// (metrics cover the simulated time actually reached) and *timed_out
-// (optional) is set.
-core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed,
-                         const RunHook& hook, const RunContext& context,
-                         const RunBudget& budget, bool* timed_out);
-
-// Sharded equivalents: one Cluster run per call, returning the
-// aggregate metrics. With config.shards == 1 the run is seed- and
-// metric-identical to the core::Config overloads on config.base.
+// Runs one configuration to completion with one seed: one Cluster run,
+// returning the aggregate metrics. The optional hook observes the run.
 core::RunMetrics RunOnce(const core::ShardedConfig& config,
                          std::uint64_t seed);
 core::RunMetrics RunOnce(const core::ShardedConfig& config,
                          std::uint64_t seed, const ClusterRunHook& hook,
                          const RunContext& context);
+// Budgeted variant: on wall-clock overrun the run is cut short
+// (metrics cover the simulated time actually reached) and *timed_out
+// (optional) is set.
 core::RunMetrics RunOnce(const core::ShardedConfig& config,
                          std::uint64_t seed, const ClusterRunHook& hook,
                          const RunContext& context, const RunBudget& budget,
@@ -118,13 +109,6 @@ core::RunMetrics RunOnce(const core::ShardedConfig& config,
 
 // Runs one configuration over several seeds; returns all runs. The
 // optional hook observes every replication.
-std::vector<core::RunMetrics> Replicate(const core::Config& config,
-                                        int replications,
-                                        std::uint64_t base_seed);
-std::vector<core::RunMetrics> Replicate(const core::Config& config,
-                                        int replications,
-                                        std::uint64_t base_seed,
-                                        const RunHook& hook);
 std::vector<core::RunMetrics> Replicate(const core::ShardedConfig& config,
                                         int replications,
                                         std::uint64_t base_seed);
@@ -151,10 +135,7 @@ struct SweepSpec {
   // Cluster-scoped x application: when set, the x value is applied to
   // the cell's cluster shape (after `cluster.base` has been filled in
   // with the cell's base + policy config) — this is how `shards` or
-  // `link_latency_us` become sweep axes. Setting it routes EVERY cell
-  // through the Cluster path, shards == 1 values included (a
-  // one-shard Cluster is seed- and metric-identical to a bare
-  // System), so attach observers via on_cluster_run.
+  // `link_latency_us` become sweep axes.
   std::function<void(core::ShardedConfig&, double)> apply_x_cluster;
   // Independent replications per cell.
   int replications = 3;
@@ -163,19 +144,19 @@ struct SweepSpec {
   // worker-to-core pinning. Results are byte-identical for any job
   // count (see exp/parallel_runner.h's determinism contract).
   ParallelOptions parallel;
-  // Observation hook, called (from worker threads) for every run with
-  // its cell coordinates; may be null. See RunHook. Ignored when the
-  // sweep is sharded (cluster.shards > 1) — use on_cluster_run there.
-  RunHook on_run;
-  // Cluster shape for sharded sweeps. The default (shards == 1) keeps
-  // the historical single-System cell path, byte-identical to before
-  // the field existed. With shards > 1, every cell run constructs a
-  // Cluster from this shape with the cell's config (base + policy +
-  // x value) as its base; `cluster.base` itself is ignored.
+  // Cluster shape of every cell run: each run constructs a Cluster
+  // from this shape with the cell's config (base + policy + x value)
+  // as its base; `cluster.base` itself is ignored. The default is one
+  // shard, the paper's model.
   core::ShardedConfig cluster;
-  // Observation hook for sharded cells (cluster.shards > 1); may be
-  // null. See ClusterRunHook.
+  // Observation hook, called (from worker threads) for every run with
+  // its cell coordinates; may be null. See ClusterRunHook.
   ClusterRunHook on_cluster_run;
+  // One-shard shorthand for on_cluster_run: called as
+  // on_run(cluster.shard(0), context). Only valid on a one-shard sweep
+  // (cluster.shards == 1, no apply_x_cluster) without on_cluster_run;
+  // RunSweep dies otherwise rather than observe one shard of many.
+  RunHook on_run;
   // Per-cell wall-clock budget, shared across a cell's replications
   // (crash-safe sweeps). On overrun the in-flight replication is cut
   // short and the cell's remaining replications are skipped (their

@@ -1,6 +1,6 @@
 // WriteFileAtomic / FileExists / RemoveStaleTmpFiles.
 
-#include "exp/atomic_io.h"
+#include "base/atomic_io.h"
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 #include <sstream>
 #include <string>
 
-namespace strip::exp {
+namespace strip::base {
 namespace {
 
 std::string ReadAll(const std::string& path) {
@@ -60,4 +60,4 @@ TEST(AtomicIoTest, RemoveStaleTmpFilesOnlyTouchesTmp) {
 }
 
 }  // namespace
-}  // namespace strip::exp
+}  // namespace strip::base

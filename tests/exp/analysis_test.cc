@@ -75,11 +75,18 @@ TEST(AnalysisTest, FreshTxnProbabilityBounds) {
 
 // --- simulation cross-checks -------------------------------------------------
 
+// One run of the paper's uniprocessor model: a one-shard cluster.
+core::RunMetrics RunOne(const core::Config& config) {
+  core::ShardedConfig one_shard;
+  one_shard.base = config;
+  return RunOnce(one_shard, 3);
+}
+
 TEST(AnalysisCrossCheckTest, UfUpdateUtilizationMatchesPrediction) {
   core::Config config;
   config.policy = core::PolicyKind::kUpdateFirst;
   config.sim_seconds = 80;
-  const core::RunMetrics m = RunOnce(config, 3);
+  const core::RunMetrics m = RunOne(config);
   EXPECT_NEAR(m.rho_u(), PredictedUpdateDemand(config), 0.01);
 }
 
@@ -87,7 +94,7 @@ TEST(AnalysisCrossCheckTest, LightLoadTxnUtilizationMatchesPrediction) {
   core::Config config;
   config.lambda_t = 3;  // far below saturation: no losses
   config.sim_seconds = 80;
-  const core::RunMetrics m = RunOnce(config, 3);
+  const core::RunMetrics m = RunOne(config);
   EXPECT_NEAR(m.rho_t(), PredictedTransactionDemand(config), 0.03);
 }
 
@@ -95,7 +102,7 @@ TEST(AnalysisCrossCheckTest, UfStalenessMatchesFloor) {
   core::Config config;
   config.policy = core::PolicyKind::kUpdateFirst;
   config.sim_seconds = 120;
-  const core::RunMetrics m = RunOnce(config, 3);
+  const core::RunMetrics m = RunOne(config);
   const double floor =
       PredictedStalenessFloor(config, db::ObjectClass::kLowImportance);
   EXPECT_NEAR(m.f_old_low, floor, 0.012);
@@ -108,7 +115,7 @@ TEST(AnalysisCrossCheckTest, FloorTracksAlpha) {
     config.policy = core::PolicyKind::kUpdateFirst;
     config.alpha = alpha;
     config.sim_seconds = 100;
-    const core::RunMetrics m = RunOnce(config, 3);
+    const core::RunMetrics m = RunOne(config);
     EXPECT_NEAR(m.f_old_low,
                 PredictedStalenessFloor(
                     config, db::ObjectClass::kLowImportance),
@@ -123,7 +130,9 @@ TEST(AnalysisCrossCheckTest, LightLoadSuccessMatchesFreshProbability) {
   config.lambda_t = 2;  // essentially every txn commits
   config.sim_seconds = 400;
   // ~800 commits: binomial noise ~0.012 sd at p ~ 0.88.
-  const auto runs = Replicate(config, 2, 3);
+  core::ShardedConfig one_shard;
+  one_shard.base = config;
+  const auto runs = Replicate(one_shard, 2, 3);
   const double p_success =
       (runs[0].p_success() + runs[1].p_success()) / 2;
   EXPECT_NEAR(p_success, PredictedFreshTxnProbability(config), 0.04);

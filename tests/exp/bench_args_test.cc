@@ -54,6 +54,17 @@ TEST(BenchArgsDeathTest, UnknownFlagExits) {
   EXPECT_EXIT(Parse({"--bogus"}), ::testing::ExitedWithCode(2), "usage");
 }
 
+TEST(BenchArgsDeathTest, MalformedNumbersExitNamingTheFlag) {
+  EXPECT_EXIT(Parse({"--seed=banana"}), ::testing::ExitedWithCode(2),
+              "bad value for --seed: banana");
+  EXPECT_EXIT(Parse({"--reps=3x"}), ::testing::ExitedWithCode(2),
+              "bad value for --reps: 3x");
+  EXPECT_EXIT(Parse({"--jobs=abc"}), ::testing::ExitedWithCode(2),
+              "bad value for --jobs: abc");
+  EXPECT_EXIT(Parse({"--seconds=1e999"}), ::testing::ExitedWithCode(2),
+              "bad value for --seconds: 1e999");
+}
+
 TEST(BenchArgsDeathTest, NonPositiveSecondsExits) {
   EXPECT_EXIT(Parse({"--seconds=0"}), ::testing::ExitedWithCode(2), "usage");
 }

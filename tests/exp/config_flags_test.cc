@@ -130,6 +130,51 @@ TEST(ConfigFlagsTest, RejectsNonFiniteValues) {
   EXPECT_TRUE(ApplyConfigFlag("ips=-inf", config).has_value());
 }
 
+TEST(ConfigFlagsTest, RejectsIntegersThatDoNotFit) {
+  // strtol's long used to be narrowed to int: 4294967298 became 2.
+  core::ShardedConfig sharded;
+  const auto error = ApplyConfigFlag("shards=4294967298", sharded);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(*error, "bad value for shards: 4294967298");
+  EXPECT_EQ(sharded.shards, 1);
+  core::Config config;
+  EXPECT_TRUE(ApplyConfigFlag("n_low=-4294967296", config).has_value());
+  EXPECT_TRUE(
+      ApplyConfigFlag("n_low=99999999999999999999", config).has_value());
+  EXPECT_EQ(config.n_low, core::Config().n_low);
+}
+
+TEST(ConfigFlagsTest, CheckedParsersTakeWholeInRangeValuesOnly) {
+  int i = 7;
+  EXPECT_TRUE(ParseInt("2147483647", &i));
+  EXPECT_EQ(i, 2147483647);
+  EXPECT_TRUE(ParseInt("-2147483648", &i));
+  EXPECT_EQ(i, -2147483647 - 1);
+  i = 7;
+  for (const char* bad : {"2147483648", "-2147483649", "12x", "", "abc"}) {
+    EXPECT_FALSE(ParseInt(bad, &i)) << bad;
+  }
+  EXPECT_EQ(i, 7);
+
+  double d = 0.5;
+  EXPECT_TRUE(ParseDouble("1e-3", &d));
+  EXPECT_DOUBLE_EQ(d, 1e-3);
+  for (const char* bad : {"abc", "1.5.", "inf", "nan", "1e999", ""}) {
+    EXPECT_FALSE(ParseDouble(bad, &d)) << bad;
+  }
+  EXPECT_DOUBLE_EQ(d, 1e-3);
+
+  std::uint64_t u = 9;
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &u));
+  EXPECT_EQ(u, 18446744073709551615u);
+  u = 9;
+  for (const char* bad :
+       {"18446744073709551616", "-1", "+5", " 5", "banana", "5s", ""}) {
+    EXPECT_FALSE(ParseUint64(bad, &u)) << bad;
+  }
+  EXPECT_EQ(u, 9u);
+}
+
 TEST(ConfigFlagsTest, RoundTripThroughToString) {
   core::Config config;
   config.lambda_t = 13.25;

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "core/cluster.h"
+#include "obs/telemetry.h"
 
 namespace strip::exp {
 namespace {
@@ -14,29 +21,36 @@ core::Config QuickConfig() {
   return config;
 }
 
+// QuickConfig as the paper's uniprocessor: a one-shard cluster.
+core::ShardedConfig QuickRun() {
+  core::ShardedConfig run;
+  run.base = QuickConfig();
+  return run;
+}
+
 TEST(RunOnceTest, ProducesPlausibleMetrics) {
-  const core::RunMetrics m = RunOnce(QuickConfig(), 1);
+  const core::RunMetrics m = RunOnce(QuickRun(), 1);
   EXPECT_DOUBLE_EQ(m.observed_seconds, 10.0);
   EXPECT_GT(m.txns_arrived, 0u);
 }
 
 TEST(RunOnceTest, DeterministicBySeed) {
-  const core::RunMetrics a = RunOnce(QuickConfig(), 5);
-  const core::RunMetrics b = RunOnce(QuickConfig(), 5);
+  const core::RunMetrics a = RunOnce(QuickRun(), 5);
+  const core::RunMetrics b = RunOnce(QuickRun(), 5);
   EXPECT_DOUBLE_EQ(a.value_committed, b.value_committed);
   EXPECT_EQ(a.updates_installed, b.updates_installed);
 }
 
 TEST(ReplicateTest, ReturnsOneRunPerSeed) {
-  const auto runs = Replicate(QuickConfig(), 3, 42);
+  const auto runs = Replicate(QuickRun(), 3, 42);
   ASSERT_EQ(runs.size(), 3u);
   // Different seeds give different randomness.
   EXPECT_NE(runs[0].value_committed, runs[1].value_committed);
 }
 
 TEST(ReplicateTest, FirstRunMatchesRunOnce) {
-  const auto runs = Replicate(QuickConfig(), 2, 42);
-  const core::RunMetrics direct = RunOnce(QuickConfig(), 42);
+  const auto runs = Replicate(QuickRun(), 2, 42);
+  const core::RunMetrics direct = RunOnce(QuickRun(), 42);
   EXPECT_DOUBLE_EQ(runs[0].value_committed, direct.value_committed);
 }
 
@@ -73,9 +87,10 @@ TEST(SweepTest, CellsApplyPolicyAndX) {
 TEST(SweepTest, MatchesDirectRunsCellByCell) {
   const SweepSpec spec = QuickSweep();
   const SweepResult result = RunSweep(spec);
-  core::Config config = spec.base;
-  config.policy = core::PolicyKind::kOnDemand;
-  config.lambda_t = 15;
+  core::ShardedConfig config;
+  config.base = spec.base;
+  config.base.policy = core::PolicyKind::kOnDemand;
+  config.base.lambda_t = 15;
   const core::RunMetrics direct = RunOnce(config, 43);  // replication 1
   EXPECT_DOUBLE_EQ(result.cell(1, 1)[1].value_committed,
                    direct.value_committed);
@@ -217,8 +232,8 @@ TEST(SweepTest, UnbudgetedRunMatchesBudgetedWithRoomToSpare) {
 }
 
 TEST(RunOnceTest, BudgetTimeoutHaltsEarly) {
-  core::Config config = QuickConfig();
-  config.sim_seconds = 10000.0;  // far more than the budget allows
+  core::ShardedConfig config = QuickRun();
+  config.base.sim_seconds = 10000.0;  // far more than the budget allows
   RunBudget budget;
   budget.wall_seconds = 0.05;
   budget.slice_sim_seconds = 1.0;
@@ -226,8 +241,57 @@ TEST(RunOnceTest, BudgetTimeoutHaltsEarly) {
   const core::RunMetrics m =
       RunOnce(config, 1, nullptr, {}, budget, &timed_out);
   EXPECT_TRUE(timed_out);
-  EXPECT_LT(m.observed_seconds, config.sim_seconds);
+  EXPECT_LT(m.observed_seconds, config.base.sim_seconds);
   EXPECT_GT(m.observed_seconds, 0.0);
+}
+
+// Telemetry documents of each cell's first replication, by cell.
+using CellDocuments =
+    std::map<std::pair<std::size_t, std::size_t>, std::string>;
+
+RunFinisher RecordTelemetry(core::System& system, const RunContext& context,
+                            CellDocuments* documents) {
+  if (context.replication != 0) return nullptr;
+  obs::RunTelemetry::Options options;
+  options.seed = context.seed;
+  auto telemetry = std::make_shared<obs::RunTelemetry>(&system, options);
+  const std::pair<std::size_t, std::size_t> cell(context.policy_index,
+                                                 context.x_index);
+  return [telemetry, cell, documents](const core::RunMetrics& metrics) {
+    std::ostringstream out;
+    telemetry->WriteJson(out, metrics);
+    (*documents)[cell] = out.str();
+  };
+}
+
+TEST(SweepTest, OnRunMatchesOnClusterRunOnShardZero) {
+  // on_run is shorthand for on_cluster_run on a one-shard sweep's only
+  // engine: same results, same observer bytes.
+  CellDocuments via_system;
+  SweepSpec on_run = QuickSweep();
+  on_run.parallel.jobs = 1;  // the hook fills one unguarded map
+  on_run.on_run = [&via_system](core::System& system,
+                                const RunContext& context) {
+    return RecordTelemetry(system, context, &via_system);
+  };
+  CellDocuments via_cluster;
+  SweepSpec on_cluster_run = QuickSweep();
+  on_cluster_run.parallel.jobs = 1;
+  on_cluster_run.on_cluster_run = [&via_cluster](core::Cluster& cluster,
+                                                 const RunContext& context) {
+    return RecordTelemetry(cluster.shard(0), context, &via_cluster);
+  };
+  const SweepResult a = RunSweep(on_run);
+  const SweepResult b = RunSweep(on_cluster_run);
+  for (std::size_t p = 0; p < a.n_policies(); ++p) {
+    for (std::size_t x = 0; x < a.n_x(); ++x) {
+      for (std::size_t r = 0; r < a.cell(p, x).size(); ++r) {
+        EXPECT_EQ(a.cell(p, x)[r].ToString(), b.cell(p, x)[r].ToString());
+      }
+    }
+  }
+  ASSERT_EQ(via_system.size(), 4u);
+  EXPECT_EQ(via_system, via_cluster);
 }
 
 TEST(SweepDeathTest, InvalidSpecsDie) {
@@ -243,6 +307,23 @@ TEST(SweepDeathTest, InvalidSpecsDie) {
   spec = QuickSweep();
   spec.replications = 0;
   EXPECT_DEATH(RunSweep(spec), "replications");
+  // on_run observes one engine, so it refuses any sweep that may have
+  // more than one.
+  SweepSpec observed = QuickSweep();
+  observed.on_run = [](core::System&, const RunContext&) -> RunFinisher {
+    return nullptr;
+  };
+  spec = observed;
+  spec.cluster.shards = 2;
+  EXPECT_DEATH(RunSweep(spec), "on_run");
+  spec = observed;
+  spec.apply_x_cluster = [](core::ShardedConfig&, double) {};
+  EXPECT_DEATH(RunSweep(spec), "on_run");
+  spec = observed;
+  spec.on_cluster_run = [](core::Cluster&, const RunContext&) -> RunFinisher {
+    return nullptr;
+  };
+  EXPECT_DEATH(RunSweep(spec), "on_run");
 }
 
 TEST(SweepResultDeathTest, OutOfRangeCellDies) {

@@ -169,8 +169,10 @@ TEST(FaultSystemTest, FaultedRunIsSeedDeterministic) {
   config.faults =
       "outage@5+2:speedup=4;loss@10+3:p=0.2;dup@14+3:p=0.2;"
       "reorder@18+3:p=0.3;burst@22+3:factor=3;cpu@26+2:factor=0.5";
-  const RunMetrics a = exp::RunOnce(config, 17);
-  const RunMetrics b = exp::RunOnce(config, 17);
+  core::ShardedConfig one_shard;
+  one_shard.base = config;
+  const RunMetrics a = exp::RunOnce(one_shard, 17);
+  const RunMetrics b = exp::RunOnce(one_shard, 17);
   EXPECT_EQ(a.ToString(), b.ToString());
   EXPECT_EQ(a.updates_lost_fault, b.updates_lost_fault);
   EXPECT_EQ(a.updates_duplicated_fault, b.updates_duplicated_fault);

@@ -30,9 +30,9 @@ class GoldenTest : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(GoldenTest, BaselineSeed1FiftySecondsIsPinned) {
   const Golden& golden = GetParam();
-  core::Config config;
-  config.policy = golden.policy;
-  config.sim_seconds = 50.0;
+  core::ShardedConfig config;
+  config.base.policy = golden.policy;
+  config.base.sim_seconds = 50.0;
   const core::RunMetrics m = exp::RunOnce(config, 1);
   constexpr double kTol = 1e-3;  // the pins are printed to 4 decimals
   EXPECT_NEAR(m.p_md(), golden.p_md, kTol);

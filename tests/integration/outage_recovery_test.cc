@@ -17,20 +17,22 @@
 
 #include "core/config.h"
 #include "core/metrics.h"
+#include "core/sharded_config.h"
 #include "exp/experiment.h"
 
 namespace strip::core {
 namespace {
 
-Config OutageConfig(PolicyKind policy) {
-  Config config;
+ShardedConfig OutageConfig(PolicyKind policy) {
+  ShardedConfig sharded;
+  Config& config = sharded.base;
   config.policy = policy;
   config.sim_seconds = 60;
   config.warmup_seconds = 0;
   config.uq_max = 256;
   config.shed_by_importance = true;
   config.faults = "outage@10+5:speedup=4";
-  return config;
+  return sharded;
 }
 
 TEST(OutageRecoveryTest, UpdateFirstRecoversFast) {

@@ -18,12 +18,13 @@ using core::RunMetrics;
 
 RunMetrics RunPolicy(PolicyKind policy, double lambda_t, double seconds = 60.0,
                void (*tweak)(Config&) = nullptr) {
-  Config config;
+  core::ShardedConfig one_shard;
+  Config& config = one_shard.base;
   config.policy = policy;
   config.lambda_t = lambda_t;
   config.sim_seconds = seconds;
   if (tweak != nullptr) tweak(config);
-  return exp::RunOnce(config, 7);
+  return exp::RunOnce(one_shard, 7);
 }
 
 // Figure 3(b): installing the full 400/s stream costs about a fifth of

@@ -88,7 +88,9 @@ TEST_P(RandomConfigTest, InvariantsHold) {
   ASSERT_FALSE(config.Validate().has_value())
       << *config.Validate() << " (draw " << GetParam() << ")";
 
-  const core::RunMetrics m = exp::RunOnce(config, 77 + GetParam());
+  core::ShardedConfig one_shard;
+  one_shard.base = config;
+  const core::RunMetrics m = exp::RunOnce(one_shard, 77 + GetParam());
 
   // Conservation.
   EXPECT_EQ(m.txns_arrived, m.txns_terminal() + m.txns_inflight_at_end);
@@ -112,7 +114,7 @@ TEST_P(RandomConfigTest, InvariantsHold) {
     EXPECT_EQ(m.txns_committed_stale, 0u);
   }
   // Determinism.
-  const core::RunMetrics again = exp::RunOnce(config, 77 + GetParam());
+  const core::RunMetrics again = exp::RunOnce(one_shard, 77 + GetParam());
   EXPECT_EQ(m.txns_committed, again.txns_committed);
   EXPECT_DOUBLE_EQ(m.value_committed, again.value_committed);
   EXPECT_DOUBLE_EQ(m.cpu_update_seconds, again.cpu_update_seconds);

@@ -16,7 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/system.h"
+#include "core/cluster.h"
 #include "exp/experiment.h"
 #include "obs/trace/chrome_trace.h"
 #include "obs/trace/trace_analysis.h"
@@ -46,15 +46,18 @@ core::Config GoldenConfig() {
 
 std::string ProduceTrace(const core::Config& config, std::uint64_t seed) {
   std::ostringstream out;
-  exp::RunHook hook = [&out](core::System& system,
-                             const exp::RunContext&) -> exp::RunFinisher {
+  exp::ClusterRunHook hook = [&out](core::Cluster& cluster,
+                                    const exp::RunContext&)
+      -> exp::RunFinisher {
     auto trace = std::make_shared<ChromeTraceWriter>(&out);
-    system.AddObserver(trace.get());
+    cluster.shard(0).AddObserver(trace.get());
     return [trace](const core::RunMetrics&) { trace->Finish(); };
   };
+  core::ShardedConfig one_shard;
+  one_shard.base = config;
   exp::RunContext context;
   context.seed = seed;
-  exp::RunOnce(config, seed, hook, context);
+  exp::RunOnce(one_shard, seed, hook, context);
   return out.str();
 }
 

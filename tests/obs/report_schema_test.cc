@@ -16,7 +16,6 @@
 
 #include "core/cluster.h"
 #include "core/sharded_config.h"
-#include "core/system.h"
 #include "exp/experiment.h"
 #include "obs/report/json.h"
 #include "obs/report/schema.h"
@@ -131,16 +130,17 @@ TEST(SchemaValidatorTest, UnknownKeywordIsAnErrorNotSilence) {
 // --- the telemetry contract ------------------------------------------------
 
 std::string ProduceDocument(std::uint64_t seed) {
-  core::Config config;
-  config.sim_seconds = 5.0;
-  config.warmup_seconds = 1.0;
+  core::ShardedConfig config;
+  config.base.sim_seconds = 5.0;
+  config.base.warmup_seconds = 1.0;
   std::ostringstream out;
-  exp::RunHook hook = [&out](core::System& system,
-                             const exp::RunContext& context)
+  exp::ClusterRunHook hook = [&out](core::Cluster& cluster,
+                                    const exp::RunContext& context)
       -> exp::RunFinisher {
     RunTelemetry::Options options;
     options.seed = context.seed;
-    auto telemetry = std::make_shared<RunTelemetry>(&system, options);
+    auto telemetry =
+        std::make_shared<RunTelemetry>(&cluster.shard(0), options);
     return [telemetry, &out](const core::RunMetrics& metrics) {
       telemetry->WriteJson(out, metrics);
     };

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cluster.h"
 #include "core/system.h"
 #include "exp/experiment.h"
 #include "obs/telemetry.h"
@@ -38,19 +39,22 @@ core::Config GoldenConfig() {
 
 std::string ProduceDocument(const core::Config& config, std::uint64_t seed) {
   std::ostringstream out;
-  exp::RunHook hook = [&out](core::System& system,
-                             const exp::RunContext& context)
+  exp::ClusterRunHook hook = [&out](core::Cluster& cluster,
+                                    const exp::RunContext& context)
       -> exp::RunFinisher {
     RunTelemetry::Options options;
     options.seed = context.seed;
-    auto telemetry = std::make_shared<RunTelemetry>(&system, options);
+    auto telemetry =
+        std::make_shared<RunTelemetry>(&cluster.shard(0), options);
     return [telemetry, &out](const core::RunMetrics& metrics) {
       telemetry->WriteJson(out, metrics);
     };
   };
+  core::ShardedConfig one_shard;
+  one_shard.base = config;
   exp::RunContext context;
   context.seed = seed;
-  exp::RunOnce(config, seed, hook, context);
+  exp::RunOnce(one_shard, seed, hook, context);
   return out.str();
 }
 

@@ -39,12 +39,12 @@
 #include <string>
 #include <vector>
 
+#include "base/atomic_io.h"
 #include "check/cluster_auditor.h"
 #include "check/invariant_auditor.h"
 #include "core/cluster.h"
 #include "core/config.h"
 #include "core/metrics.h"
-#include "exp/atomic_io.h"
 #include "exp/config_flags.h"
 #include "exp/experiment.h"
 #include "obs/telemetry.h"
@@ -130,6 +130,13 @@ bool ApplyConfigFile(const std::string& path,
   return true;
 }
 
+// A runner flag whose value does not parse: one line, exit 2.
+int BadValue(const std::string& arg) {
+  std::fprintf(stderr, "strip_sim: %s\n",
+               strip::exp::BadFlagValue(arg).c_str());
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -159,9 +166,11 @@ int main(int argc, char** argv) {
   std::string chrome_trace_path;
   for (const std::string& arg : rest) {
     if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!strip::exp::ParseUint64(arg.substr(7), &seed)) {
+        return BadValue(arg);
+      }
     } else if (arg.rfind("--reps=", 0) == 0) {
-      reps = std::atoi(arg.c_str() + 7);
+      if (!strip::exp::ParseInt(arg.substr(7), &reps)) return BadValue(arg);
     } else if (arg.rfind("--telemetry=", 0) == 0) {
       telemetry_path = arg.substr(12);
     } else if (arg.rfind("--chrome-trace=", 0) == 0) {
@@ -202,195 +211,127 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // With --telemetry / --chrome-trace, the first replication carries
+  // the recorders and writes the documents once its run completes; the
+  // Chrome trace streams while the run executes. Telemetry writes one
+  // document per shard (PATH itself at one shard, PATH.shard<k>
+  // otherwise); the Chrome trace puts every shard in one document, one
+  // process per shard. --audit runs one InvariantAuditor per shard on
+  // every replication, plus the cross-shard ClusterAuditor census when
+  // there is more than one shard. Auditors are read-only, so audited
+  // output stays byte-identical; violations fail the process with
+  // exit 3.
   bool audit_failed = false;
-  std::vector<strip::core::RunMetrics> runs;
-
-  if (sharded.single_shard()) {
-    // With --telemetry / --chrome-trace, the first replication carries
-    // the corresponding recorders and writes the documents once its
-    // run completes. The Chrome trace streams while the run executes;
-    // the finisher only closes the document.
-    strip::exp::RunHook hook;
-    if (!telemetry_path.empty() || !chrome_trace_path.empty()) {
-      hook = [&telemetry_path, &chrome_trace_path](
-                 strip::core::System& system,
-                 const strip::exp::RunContext& context)
-          -> strip::exp::RunFinisher {
-        if (context.replication != 0) return nullptr;
-        std::shared_ptr<strip::obs::RunTelemetry> telemetry;
-        if (!telemetry_path.empty()) {
-          strip::obs::RunTelemetry::Options options;
-          options.seed = context.seed;
-          telemetry = std::make_shared<strip::obs::RunTelemetry>(
-              &system, options);
-        }
-        std::shared_ptr<std::ofstream> trace_out;
-        std::shared_ptr<strip::obs::trace::ChromeTraceWriter> trace;
-        if (!chrome_trace_path.empty()) {
-          trace_out = std::make_shared<std::ofstream>(chrome_trace_path);
-          if (!*trace_out) {
-            std::fprintf(stderr, "strip_sim: cannot write trace to %s\n",
-                         chrome_trace_path.c_str());
-            std::exit(2);
-          }
-          trace = std::make_shared<strip::obs::trace::ChromeTraceWriter>(
-              trace_out.get());
-          system.AddObserver(trace.get());
-        }
-        return [telemetry, &telemetry_path, trace, trace_out](
-                   const strip::core::RunMetrics& metrics) {
-          if (telemetry != nullptr) {
-            // Atomic (tmp + rename): a killed run never leaves a torn
-            // telemetry document behind.
-            std::ostringstream out;
-            telemetry->WriteJson(out, metrics);
-            if (const auto write_error = strip::exp::WriteFileAtomic(
-                    telemetry_path, out.str())) {
-              std::fprintf(stderr, "strip_sim: %s\n",
-                           write_error->c_str());
-              std::exit(2);
-            }
-          }
-          if (trace != nullptr) trace->Finish();
-        };
-      };
-    }
-
-    // --audit layers the invariant auditor under whatever observers
-    // the base hook attaches; the auditor is read-only, so audited
-    // output stays byte-identical. Violations fail the process with
-    // exit 3.
-    if (audit) {
-      strip::exp::RunHook base_hook = std::move(hook);
-      hook = [&audit_failed, base_hook](
-                 strip::core::System& system,
-                 const strip::exp::RunContext& context)
-          -> strip::exp::RunFinisher {
-        auto auditor = std::make_shared<strip::check::InvariantAuditor>();
-        auditor->set_system(&system);
-        system.AddObserver(auditor.get());
-        strip::exp::RunFinisher base_finisher =
-            base_hook ? base_hook(system, context) : nullptr;
-        const int replication = context.replication;
-        return [auditor, base_finisher, replication, &audit_failed](
-                   const strip::core::RunMetrics& metrics) {
-          if (base_finisher) base_finisher(metrics);
-          if (!auditor->ok()) {
-            audit_failed = true;
-            std::fprintf(stderr,
-                         "strip_sim: audit FAILED (replication %d)\n%s",
-                         replication, auditor->Report().c_str());
-          }
-        };
-      };
-    }
-
-    runs = strip::exp::Replicate(config, reps, seed, hook);
-  } else {
-    // Sharded path: the same layering against a Cluster. Telemetry
-    // writes one per-shard document; the Chrome trace shares one
-    // document across per-shard writers; --audit runs one
-    // InvariantAuditor per shard plus the cross-shard ClusterAuditor.
-    strip::exp::ClusterRunHook hook = [&](strip::core::Cluster& cluster,
-                                          const strip::exp::RunContext&
-                                              context)
-        -> strip::exp::RunFinisher {
-      struct Recorders {
-        std::vector<std::unique_ptr<strip::obs::RunTelemetry>> telemetry;
-        std::unique_ptr<std::ofstream> trace_out;
-        std::unique_ptr<strip::obs::trace::ChromeTraceDocument> trace_doc;
-        std::vector<std::unique_ptr<strip::obs::trace::ChromeTraceWriter>>
-            trace;
-        std::vector<std::unique_ptr<strip::check::InvariantAuditor>>
-            auditors;
-        std::unique_ptr<strip::check::ClusterAuditor> cluster_auditor;
-      };
-      auto recorders = std::make_shared<Recorders>();
-      const bool first = context.replication == 0;
-      if (first && !telemetry_path.empty()) {
-        for (int s = 0; s < cluster.shards(); ++s) {
-          strip::obs::RunTelemetry::Options options;
-          options.seed = context.seed;
-          options.shard = s;
-          options.shards = cluster.shards();
-          recorders->telemetry.push_back(
-              std::make_unique<strip::obs::RunTelemetry>(&cluster.shard(s),
-                                                         options));
-        }
+  const strip::exp::ClusterRunHook hook =
+      [&](strip::core::Cluster& cluster,
+          const strip::exp::RunContext& context) -> strip::exp::RunFinisher {
+    struct Recorders {
+      std::vector<std::unique_ptr<strip::obs::RunTelemetry>> telemetry;
+      std::unique_ptr<std::ofstream> trace_out;
+      std::unique_ptr<strip::obs::trace::ChromeTraceDocument> trace_doc;
+      std::vector<std::unique_ptr<strip::obs::trace::ChromeTraceWriter>>
+          trace;
+      std::vector<std::unique_ptr<strip::check::InvariantAuditor>> auditors;
+      std::unique_ptr<strip::check::ClusterAuditor> cluster_auditor;
+    };
+    auto recorders = std::make_shared<Recorders>();
+    const int shards = cluster.shards();
+    const bool first = context.replication == 0;
+    if (first && !telemetry_path.empty()) {
+      for (int s = 0; s < shards; ++s) {
+        strip::obs::RunTelemetry::Options options;
+        options.seed = context.seed;
+        options.shard = s;
+        options.shards = shards;
+        recorders->telemetry.push_back(
+            std::make_unique<strip::obs::RunTelemetry>(&cluster.shard(s),
+                                                       options));
       }
-      if (first && !chrome_trace_path.empty()) {
-        recorders->trace_out =
-            std::make_unique<std::ofstream>(chrome_trace_path);
-        if (!*recorders->trace_out) {
-          std::fprintf(stderr, "strip_sim: cannot write trace to %s\n",
-                       chrome_trace_path.c_str());
-          std::exit(2);
-        }
+    }
+    if (first && !chrome_trace_path.empty()) {
+      recorders->trace_out =
+          std::make_unique<std::ofstream>(chrome_trace_path);
+      if (!*recorders->trace_out) {
+        std::fprintf(stderr, "strip_sim: cannot write trace to %s\n",
+                     chrome_trace_path.c_str());
+        std::exit(2);
+      }
+      if (shards == 1) {
+        recorders->trace.push_back(
+            std::make_unique<strip::obs::trace::ChromeTraceWriter>(
+                recorders->trace_out.get()));
+      } else {
         recorders->trace_doc =
             std::make_unique<strip::obs::trace::ChromeTraceDocument>(
                 recorders->trace_out.get());
-        for (int s = 0; s < cluster.shards(); ++s) {
+        for (int s = 0; s < shards; ++s) {
           recorders->trace.push_back(
               std::make_unique<strip::obs::trace::ChromeTraceWriter>(
                   recorders->trace_doc.get(), s + 1,
                   "shard " + std::to_string(s)));
-          cluster.shard(s).AddObserver(recorders->trace.back().get());
         }
       }
-      if (audit) {
-        for (int s = 0; s < cluster.shards(); ++s) {
-          auto auditor = std::make_unique<strip::check::InvariantAuditor>();
-          auditor->set_system(&cluster.shard(s));
-          cluster.shard(s).AddObserver(auditor.get());
-          recorders->auditors.push_back(std::move(auditor));
-        }
+      for (int s = 0; s < shards; ++s) {
+        cluster.shard(s).AddObserver(recorders->trace[s].get());
+      }
+    }
+    if (audit) {
+      for (int s = 0; s < shards; ++s) {
+        auto auditor = std::make_unique<strip::check::InvariantAuditor>();
+        auditor->set_system(&cluster.shard(s));
+        cluster.shard(s).AddObserver(auditor.get());
+        recorders->auditors.push_back(std::move(auditor));
+      }
+      if (shards > 1) {
         recorders->cluster_auditor =
             std::make_unique<strip::check::ClusterAuditor>();
         recorders->cluster_auditor->set_cluster(&cluster);
         cluster.AddObserverToAllShards(recorders->cluster_auditor.get());
       }
-      const int replication = context.replication;
-      return [recorders, replication, &cluster, &telemetry_path,
-              &audit_failed](const strip::core::RunMetrics&) {
-        for (std::size_t s = 0; s < recorders->telemetry.size(); ++s) {
-          std::ostringstream out;
-          recorders->telemetry[s]->WriteJson(
-              out, cluster.shard_metrics(static_cast<int>(s)));
-          const std::string path =
-              telemetry_path + ".shard" + std::to_string(s);
-          if (const auto write_error =
-                  strip::exp::WriteFileAtomic(path, out.str())) {
-            std::fprintf(stderr, "strip_sim: %s\n", write_error->c_str());
-            std::exit(2);
-          }
+    }
+    const int replication = context.replication;
+    return [recorders, replication, shards, &cluster, &telemetry_path,
+            &audit_failed](const strip::core::RunMetrics&) {
+      for (std::size_t s = 0; s < recorders->telemetry.size(); ++s) {
+        // Atomic (tmp + rename): a killed run never leaves a torn
+        // telemetry document behind.
+        std::ostringstream out;
+        recorders->telemetry[s]->WriteJson(
+            out, cluster.shard_metrics(static_cast<int>(s)));
+        const std::string path =
+            shards == 1 ? telemetry_path
+                        : telemetry_path + ".shard" + std::to_string(s);
+        if (const auto write_error =
+                strip::base::WriteFileAtomic(path, out.str())) {
+          std::fprintf(stderr, "strip_sim: %s\n", write_error->c_str());
+          std::exit(2);
         }
-        for (auto& writer : recorders->trace) writer->Finish();
-        if (recorders->trace_doc != nullptr) recorders->trace_doc->Finish();
-        for (std::size_t s = 0; s < recorders->auditors.size(); ++s) {
-          if (!recorders->auditors[s]->ok()) {
-            audit_failed = true;
-            std::fprintf(
-                stderr,
-                "strip_sim: audit FAILED (replication %d, shard %zu)\n%s",
-                replication, s, recorders->auditors[s]->Report().c_str());
-          }
+      }
+      for (auto& writer : recorders->trace) writer->Finish();
+      if (recorders->trace_doc != nullptr) recorders->trace_doc->Finish();
+      for (std::size_t s = 0; s < recorders->auditors.size(); ++s) {
+        if (!recorders->auditors[s]->ok()) {
+          audit_failed = true;
+          std::fprintf(
+              stderr,
+              "strip_sim: audit FAILED (replication %d, shard %zu)\n%s",
+              replication, s, recorders->auditors[s]->Report().c_str());
         }
-        if (recorders->cluster_auditor != nullptr) {
-          recorders->cluster_auditor->FinishRun();
-          if (!recorders->cluster_auditor->ok()) {
-            audit_failed = true;
-            std::fprintf(
-                stderr,
-                "strip_sim: cluster audit FAILED (replication %d)\n%s",
-                replication,
-                recorders->cluster_auditor->Report().c_str());
-          }
+      }
+      if (recorders->cluster_auditor != nullptr) {
+        recorders->cluster_auditor->FinishRun();
+        if (!recorders->cluster_auditor->ok()) {
+          audit_failed = true;
+          std::fprintf(stderr,
+                       "strip_sim: cluster audit FAILED (replication %d)\n%s",
+                       replication,
+                       recorders->cluster_auditor->Report().c_str());
         }
-      };
+      }
     };
-
-    runs = strip::exp::Replicate(sharded, reps, seed, hook);
-  }
+  };
+  const std::vector<strip::core::RunMetrics> runs =
+      strip::exp::Replicate(sharded, reps, seed, hook);
 
   if (audit_failed) return 3;
   if (!quiet) {

@@ -53,8 +53,8 @@
 // becomes the per-shard base, --audit adds the cross-shard
 // ClusterAuditor census on top of the per-shard auditors, and
 // --telemetry-dir writes one document per shard
-// (<cell>.json.shard<k>). --shards=1 (the default) is byte-identical
-// to the pre-sharding tool.
+// (<cell>.json.shard<k>). At --shards=1 (the default) file names carry
+// no shard suffix.
 //
 // Cluster-level parameters are themselves sweepable: --x=shards or
 // --x=link_latency_us applies each value to the cell's cluster shape
@@ -78,13 +78,13 @@
 #include <string>
 #include <vector>
 
+#include "base/atomic_io.h"
 #include "check/cluster_auditor.h"
 #include "check/invariant_auditor.h"
 #include "core/cluster.h"
 #include "core/config.h"
 #include "core/metrics_json.h"
 #include "core/sharded_config.h"
-#include "exp/atomic_io.h"
 #include "exp/config_flags.h"
 #include "exp/experiment.h"
 #include "exp/report.h"
@@ -160,7 +160,7 @@ using strip::exp::SweepCellName;
 // Writes a string atomically; any failure aborts the sweep (a silent
 // half-written grid is worse than a loud stop).
 void WriteOrFail(const std::string& path, const std::string& contents) {
-  if (const auto error = strip::exp::WriteFileAtomic(path, contents)) {
+  if (const auto error = strip::base::WriteFileAtomic(path, contents)) {
     Fail(*error);
   }
 }
@@ -200,7 +200,11 @@ int main(int argc, char** argv) {
       x_name = arg.substr(4);
     } else if (arg.rfind("--values=", 0) == 0) {
       for (const std::string& v : SplitCommas(arg.substr(9))) {
-        x_values.push_back(std::atof(v.c_str()));
+        double value = 0;
+        if (!strip::exp::ParseDouble(v, &value)) {
+          Fail("bad value for --values: " + v);
+        }
+        x_values.push_back(value);
       }
     } else if (arg.rfind("--policies=", 0) == 0) {
       policies.clear();
@@ -210,11 +214,17 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--metrics=", 0) == 0) {
       metric_names = SplitCommas(arg.substr(10));
     } else if (arg.rfind("--reps=", 0) == 0) {
-      reps = std::atoi(arg.c_str() + 7);
+      if (!strip::exp::ParseInt(arg.substr(7), &reps)) {
+        Fail(strip::exp::BadFlagValue(arg));
+      }
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!strip::exp::ParseUint64(arg.substr(7), &seed)) {
+        Fail(strip::exp::BadFlagValue(arg));
+      }
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      parallel.jobs = std::atoi(arg.c_str() + 7);
+      if (!strip::exp::ParseInt(arg.substr(7), &parallel.jobs)) {
+        Fail(strip::exp::BadFlagValue(arg));
+      }
     } else if (arg.rfind("--threads=", 0) == 0) {
       Fail("--threads= was removed; use --jobs=" + arg.substr(10));
     } else if (arg == "--pin-cores") {
@@ -239,7 +249,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--audit") {
       audit = true;
     } else if (arg.rfind("--cell-timeout=", 0) == 0) {
-      cell_timeout = std::atof(arg.c_str() + 15);
+      if (!strip::exp::ParseDouble(arg.substr(15), &cell_timeout)) {
+        Fail(strip::exp::BadFlagValue(arg));
+      }
       if (cell_timeout <= 0) Fail("--cell-timeout needs seconds > 0");
     } else {
       Fail("unknown flag: " + arg + " (config flags need --name=value)");
@@ -252,9 +264,9 @@ int main(int argc, char** argv) {
   if (resume && out_dir.empty()) Fail("--resume needs --out-dir=DIR");
 
   // A cluster-level x axis (--x=shards, --x=link_latency_us, ...)
-  // changes the cluster shape per cell, so every cell runs the
-  // Cluster path — including shards == 1 values, which stay seed- and
-  // metric-identical to single-System runs.
+  // changes the cluster shape per cell. Such a sweep counts as sharded
+  // even at a shards == 1 value, so its per-shard file names are
+  // uniform across the grid.
   bool cluster_x = false;
   for (const std::string& name : strip::exp::ShardedConfigFlagNames()) {
     if (name == x_name) {
@@ -326,13 +338,13 @@ int main(int argc, char** argv) {
     };
     if (resume) {
       for (const std::string& name :
-           strip::exp::RemoveStaleTmpFiles(out_dir)) {
+           strip::base::RemoveStaleTmpFiles(out_dir)) {
         std::fprintf(stderr,
                      "strip_sweep: removed stale partial write %s\n",
                      name.c_str());
       }
       spec.skip_cell = [&spec, out_dir](std::size_t p, std::size_t x) {
-        return strip::exp::FileExists(
+        return strip::base::FileExists(
             out_dir + "/cell_" + SweepCellName(spec.policies[p], x) + ".json");
       };
     }
@@ -351,95 +363,19 @@ int main(int argc, char** argv) {
   std::atomic<bool> audit_failed{false};
 
   // Per-cell recorders: the first replication of every (policy, x)
-  // cell carries a telemetry recorder and/or a flight recorder. The
-  // hook runs on worker threads; each cell writes its own files, so no
-  // cross-thread state is shared. A flight dump is only written for
-  // cells where an anomaly predicate actually tripped.
-  if (!sharded && (!telemetry_dir.empty() || !flight_dir.empty())) {
+  // cell carries a telemetry recorder and/or a flight recorder per
+  // shard; --audit attaches one InvariantAuditor per shard to every
+  // replication, plus the cross-shard ClusterAuditor census when the
+  // cell has more than one shard. The hook runs on worker threads;
+  // each cell writes its own files and the only shared state is the
+  // failure flag. A flight dump is only written for shards where an
+  // anomaly predicate actually tripped. Sharded sweeps suffix every
+  // per-shard file (<cell>.json.shard<k>, flight_<cell>_shard<k>.txt),
+  // one-shard sweeps name the cell alone.
+  if (!telemetry_dir.empty() || !flight_dir.empty() || audit) {
     const std::vector<PolicyKind> hook_policies = policies;
-    spec.on_run = [telemetry_dir, flight_dir, hook_policies](
-                      strip::core::System& system,
-                      const strip::exp::RunContext& context)
-        -> strip::exp::RunFinisher {
-      if (context.replication != 0) return nullptr;
-      char cell[64];
-      std::snprintf(cell, sizeof(cell), "%s_%02zu",
-                    strip::core::PolicyKindName(
-                        hook_policies[context.policy_index]),
-                    context.x_index);
-      std::shared_ptr<strip::obs::RunTelemetry> telemetry;
-      std::string telemetry_path;
-      if (!telemetry_dir.empty()) {
-        strip::obs::RunTelemetry::Options options;
-        options.seed = context.seed;
-        telemetry = std::make_shared<strip::obs::RunTelemetry>(
-            &system, options);
-        telemetry_path = telemetry_dir + "/" + cell + ".json";
-      }
-      std::shared_ptr<strip::obs::trace::FlightRecorder> recorder;
-      std::string flight_path;
-      if (!flight_dir.empty()) {
-        recorder = std::make_shared<strip::obs::trace::FlightRecorder>();
-        system.AddObserver(recorder.get());
-        flight_path = flight_dir + "/flight_" + cell + ".txt";
-      }
-      return [telemetry, telemetry_path, recorder, flight_path](
-                 const strip::core::RunMetrics& metrics) {
-        if (telemetry != nullptr) {
-          std::ostringstream out;
-          telemetry->WriteJson(out, metrics);
-          WriteOrFail(telemetry_path, out.str());
-        }
-        if (recorder != nullptr && recorder->tripped()) {
-          std::ostringstream out;
-          recorder->DumpTo(out);
-          WriteOrFail(flight_path, out.str());
-        }
-      };
-    };
-  }
-
-  // --audit layers the invariant auditor under the per-cell recorders
-  // on every replication. The hook runs on worker threads; the only
-  // shared state is the failure flag.
-  if (!sharded && audit) {
-    const strip::exp::RunHook base_hook = spec.on_run;
-    const std::vector<PolicyKind> hook_policies = policies;
-    spec.on_run = [base_hook, hook_policies, &audit_failed](
-                      strip::core::System& system,
-                      const strip::exp::RunContext& context)
-        -> strip::exp::RunFinisher {
-      auto auditor = std::make_shared<strip::check::InvariantAuditor>();
-      auditor->set_system(&system);
-      system.AddObserver(auditor.get());
-      strip::exp::RunFinisher base_finisher =
-          base_hook ? base_hook(system, context) : nullptr;
-      const std::string cell =
-          SweepCellName(hook_policies[context.policy_index], context.x_index);
-      const int replication = context.replication;
-      return [auditor, base_finisher, cell, replication, &audit_failed](
-                 const strip::core::RunMetrics& metrics) {
-        if (base_finisher) base_finisher(metrics);
-        if (!auditor->ok()) {
-          audit_failed.store(true, std::memory_order_relaxed);
-          std::fprintf(stderr,
-                       "strip_sweep: audit FAILED (cell %s, "
-                       "replication %d)\n%s",
-                       cell.c_str(), replication,
-                       auditor->Report().c_str());
-        }
-      };
-    };
-  }
-
-  // Sharded cells route observation through the cluster hook instead:
-  // telemetry and flight recorders attach per shard on the first
-  // replication, --audit attaches one InvariantAuditor per shard plus
-  // the cross-shard ClusterAuditor census on every replication.
-  if (sharded && (!telemetry_dir.empty() || !flight_dir.empty() || audit)) {
-    const std::vector<PolicyKind> hook_policies = policies;
-    spec.on_cluster_run = [telemetry_dir, flight_dir, audit, hook_policies,
-                           &audit_failed](
+    spec.on_cluster_run = [telemetry_dir, flight_dir, audit, sharded,
+                           hook_policies, &audit_failed](
                               strip::core::Cluster& cell_cluster,
                               const strip::exp::RunContext& context)
         -> strip::exp::RunFinisher {
@@ -452,22 +388,21 @@ int main(int argc, char** argv) {
         std::unique_ptr<strip::check::ClusterAuditor> census;
       };
       auto recorders = std::make_shared<Recorders>();
-      const std::string cell =
-          SweepCellName(hook_policies[context.policy_index], context.x_index);
+      const int shards = cell_cluster.shards();
       const bool first = context.replication == 0;
       if (first && !telemetry_dir.empty()) {
-        for (int s = 0; s < cell_cluster.shards(); ++s) {
+        for (int s = 0; s < shards; ++s) {
           strip::obs::RunTelemetry::Options options;
           options.seed = context.seed;
           options.shard = s;
-          options.shards = cell_cluster.shards();
+          options.shards = shards;
           recorders->telemetry.push_back(
               std::make_unique<strip::obs::RunTelemetry>(
                   &cell_cluster.shard(s), options));
         }
       }
       if (first && !flight_dir.empty()) {
-        for (int s = 0; s < cell_cluster.shards(); ++s) {
+        for (int s = 0; s < shards; ++s) {
           auto recorder =
               std::make_unique<strip::obs::trace::FlightRecorder>();
           cell_cluster.shard(s).AddObserver(recorder.get());
@@ -475,48 +410,48 @@ int main(int argc, char** argv) {
         }
       }
       if (audit) {
-        for (int s = 0; s < cell_cluster.shards(); ++s) {
+        for (int s = 0; s < shards; ++s) {
           auto auditor =
               std::make_unique<strip::check::InvariantAuditor>();
           auditor->set_system(&cell_cluster.shard(s));
           cell_cluster.shard(s).AddObserver(auditor.get());
           recorders->auditors.push_back(std::move(auditor));
         }
-        recorders->census =
-            std::make_unique<strip::check::ClusterAuditor>();
-        recorders->census->set_cluster(&cell_cluster);
-        cell_cluster.AddObserverToAllShards(recorders->census.get());
+        if (shards > 1) {
+          recorders->census =
+              std::make_unique<strip::check::ClusterAuditor>();
+          recorders->census->set_cluster(&cell_cluster);
+          cell_cluster.AddObserverToAllShards(recorders->census.get());
+        }
       }
       if (recorders->telemetry.empty() && recorders->flight.empty() &&
           recorders->auditors.empty()) {
         return nullptr;
       }
       strip::core::Cluster* cluster_ptr = &cell_cluster;
+      const std::string cell =
+          SweepCellName(hook_policies[context.policy_index], context.x_index);
       const int replication = context.replication;
-      const std::string telemetry_base =
-          telemetry_dir.empty() ? std::string()
-                                : telemetry_dir + "/" + cell + ".json";
-      const std::string flight_base =
-          flight_dir.empty() ? std::string()
-                             : flight_dir + "/flight_" + cell;
-      return [recorders, cluster_ptr, cell, replication, telemetry_base,
-              flight_base,
-              &audit_failed](const strip::core::RunMetrics& metrics) {
-        (void)metrics;  // per-shard documents use shard metrics
+      return [recorders, cluster_ptr, cell, replication, sharded,
+              telemetry_dir, flight_dir,
+              &audit_failed](const strip::core::RunMetrics&) {
         for (std::size_t s = 0; s < recorders->telemetry.size(); ++s) {
           std::ostringstream out;
           recorders->telemetry[s]->WriteJson(
               out, cluster_ptr->shard_metrics(static_cast<int>(s)));
-          WriteOrFail(telemetry_base + ".shard" + std::to_string(s),
+          const std::string suffix =
+              sharded ? ".shard" + std::to_string(s) : "";
+          WriteOrFail(telemetry_dir + "/" + cell + ".json" + suffix,
                       out.str());
         }
         for (std::size_t s = 0; s < recorders->flight.size(); ++s) {
           if (!recorders->flight[s]->tripped()) continue;
           std::ostringstream out;
           recorders->flight[s]->DumpTo(out);
-          WriteOrFail(
-              flight_base + "_shard" + std::to_string(s) + ".txt",
-              out.str());
+          const std::string suffix =
+              sharded ? "_shard" + std::to_string(s) : "";
+          WriteOrFail(flight_dir + "/flight_" + cell + suffix + ".txt",
+                      out.str());
         }
         for (std::size_t s = 0; s < recorders->auditors.size(); ++s) {
           if (recorders->auditors[s]->ok()) continue;
