@@ -6,6 +6,7 @@
 // each scheduling policy at the paper baseline.
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -90,6 +91,43 @@ void BM_UpdateQueuePeekNewestFor(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateQueuePeekNewestFor);
 
+db::Update MakeUpdateAt(std::uint64_t id, double generation,
+                        sim::RandomStream& random) {
+  db::Update u = MakeUpdate(id, random);
+  u.generation_time = generation;
+  u.arrival_time = generation + 0.1;
+  return u;
+}
+
+// The On Demand baseline's queue traffic: near-in-order arrivals at
+// 400 updates/s, a Maximum-Age purge of the expired front (alpha = 7 s)
+// at every arrival, a peek-and-remove for an on-demand read every
+// fourth arrival and an updater pop every eighth, over 1000 objects.
+void BM_UpdateQueueOdMix(benchmark::State& state) {
+  constexpr double kStep = 0.0025;
+  constexpr double kAlpha = 7.0;
+  db::UpdateQueue queue(5600);
+  sim::RandomStream random(base::RngSeed(7));
+  std::uint64_t id = 0;
+  double t = 0;
+  for (int i = 0; i < 2800; ++i) {
+    queue.Push(MakeUpdateAt(++id, t += kStep, random));
+  }
+  for (auto _ : state) {
+    t += kStep;
+    queue.Push(MakeUpdateAt(++id, t - random.Uniform(0, 0.01), random));
+    benchmark::DoNotOptimize(queue.PurgeGeneratedBefore(t - kAlpha));
+    if ((id & 3) == 0) {
+      const db::Update probe = MakeUpdate(0, random);
+      if (const auto u = queue.PeekNewestFor(probe.object)) {
+        benchmark::DoNotOptimize(queue.Remove(*u));
+      }
+    }
+    if ((id & 7) == 0) benchmark::DoNotOptimize(queue.PopOldest());
+  }
+}
+BENCHMARK(BM_UpdateQueueOdMix);
+
 void BM_DatabaseApply(benchmark::State& state) {
   db::Database database(500, 500);
   sim::RandomStream random(base::RngSeed(7));
@@ -105,7 +143,7 @@ BENCHMARK(BM_DatabaseApply);
 
 void BM_StalenessTrackerApply(benchmark::State& state) {
   sim::Simulator simulator;
-  db::StalenessTracker tracker(&simulator,
+  db::StalenessTracker tracker(&simulator, nullptr,
                                db::StalenessCriterion::kMaxAge, 7.0, 500,
                                500);
   sim::RandomStream random(base::RngSeed(7));
@@ -134,7 +172,7 @@ void BM_StalenessTrackerMillionObjects(benchmark::State& state) {
   sim::RandomStream random(base::RngSeed(7));
   for (auto _ : state) {
     sim::Simulator simulator;
-    db::StalenessTracker tracker(&simulator,
+    db::StalenessTracker tracker(&simulator, nullptr,
                                  db::StalenessCriterion::kMaxAge, 7.0,
                                  kPerClass, kPerClass);
     for (int step = 1; step <= kSteps; ++step) {
@@ -149,6 +187,37 @@ void BM_StalenessTrackerMillionObjects(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StalenessTrackerMillionObjects)->Unit(benchmark::kMillisecond);
+
+// The Unapplied-Update bookkeeping and check: per iteration one
+// update enters the queue, the oldest leaves it (each reported to the
+// tracker), and one random object is checked, against a standing
+// queue of 2800 updates over 1000 objects.
+void BM_StalenessTrackerUuCheck(benchmark::State& state) {
+  constexpr double kStep = 0.0025;
+  sim::Simulator simulator;
+  db::UpdateQueue queue(5600);
+  db::StalenessTracker tracker(&simulator, &queue,
+                               db::StalenessCriterion::kUnappliedUpdate,
+                               0.0, 500, 500);
+  sim::RandomStream random(base::RngSeed(7));
+  std::uint64_t id = 0;
+  double t = 0;
+  for (int i = 0; i < 2800; ++i) {
+    const db::Update u = MakeUpdateAt(++id, t += kStep, random);
+    queue.Push(u);
+    tracker.OnEnqueued(u);
+  }
+  for (auto _ : state) {
+    const db::Update u =
+        MakeUpdateAt(++id, (t += kStep) - random.Uniform(0, 0.01), random);
+    queue.Push(u);
+    tracker.OnEnqueued(u);
+    const std::optional<db::Update> oldest = queue.PopOldest();
+    tracker.OnRemovedFromQueue(*oldest);
+    benchmark::DoNotOptimize(tracker.IsStale(MakeUpdate(0, random).object));
+  }
+}
+BENCHMARK(BM_StalenessTrackerUuCheck);
 
 void BM_ReadyQueuePopBest(benchmark::State& state) {
   sim::RandomStream random(base::RngSeed(7));

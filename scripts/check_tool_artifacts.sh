@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tool artifact contract: the exact set of file names strip_sim and
 # strip_sweep write, and the one-line rejection of malformed numeric
-# flags. Two parts, both against the built binaries:
+# flags by strip_sim, strip_sweep, strip_trace and strip_replay. Two
+# parts, both against the built binaries:
 #
 #   1. Names — strip_sim (--telemetry, --chrome-trace, --audit) and
 #      strip_sweep (--out-dir, --telemetry-dir, --flight-dir, --audit)
@@ -9,9 +10,9 @@
 #      sweep. One-shard runs name their files plainly; sharded runs
 #      (shards > 1 or a cluster x axis) suffix every per-shard file
 #      with .shard<k> (telemetry) or _shard<k> (flight dumps).
-#   2. Rejections — a numeric flag that does not parse, or does not
-#      fit its type, exits 2 with one line on stderr and nothing on
-#      stdout.
+#   2. Rejections — a numeric flag that does not parse, does not fit
+#      its type, or is out of range (a negative --jobs), exits 2 with
+#      one line on stderr and nothing on stdout.
 #
 #   scripts/check_tool_artifacts.sh [BUILD_DIR]    # default: build
 #
@@ -23,7 +24,9 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 SIM="$BUILD/tools/strip_sim"
 SWEEP="$BUILD/tools/strip_sweep"
-for tool in "$SIM" "$SWEEP"; do
+TRACE="$BUILD/tools/strip_trace"
+REPLAY="$BUILD/tools/strip_replay"
+for tool in "$SIM" "$SWEEP" "$TRACE" "$REPLAY"; do
   [ -x "$tool" ] || { echo "missing $tool (build first)"; exit 2; }
 done
 
@@ -126,7 +129,21 @@ expect_reject "bad value for --reps: 1x" "$SWEEP" "${SWEEP_OK[@]}" --reps=1x
 expect_reject "bad value for --seed: z" "$SWEEP" "${SWEEP_OK[@]}" --seed=z
 expect_reject "bad value for --jobs: abc" "$SWEEP" "${SWEEP_OK[@]}" \
   --jobs=abc
+expect_reject "bad value for --jobs: -5" "$SWEEP" "${SWEEP_OK[@]}" \
+  --jobs=-5
 expect_reject "bad value for --cell-timeout: abc" "$SWEEP" \
   "${SWEEP_OK[@]}" --cell-timeout=abc
+# strip_trace rejects a bad number before it opens the trace.
+expect_reject "bad value for --txn: 7x" "$TRACE" --chrome=t.json --txn=7x
+expect_reject "bad value for --txn: -1" "$TRACE" --chrome=t.json --txn=-1
+expect_reject "bad value for --from: abc" "$TRACE" --chrome=t.json \
+  --from=abc
+expect_reject "bad value for --to: xyz" "$TRACE" --chrome=t.json --to=xyz
+expect_reject "bad value for --shard: 1x" "$TRACE" --chrome=t.json \
+  --shard=1x
+expect_reject "bad value for --critical-path: 12x" "$TRACE" \
+  --chrome=t.json --critical-path=12x
+expect_reject "bad value for --seed: banana" "$REPLAY" --seed=banana \
+  trace.csv
 
 echo "check_tool_artifacts: OK"

@@ -46,8 +46,8 @@ System::System(sim::Simulator* simulator, const Config& config,
       policy_(MakePolicy(config)),
       system_random_(base::RngSeed(seed.value() ^ 0xa5a5a5a5a5a5a5a5ull)),
       database_(config.n_low, config.n_high, config.n_attributes),
-      tracker_(simulator, config.staleness, config.alpha, config.n_low,
-               config.n_high),
+      tracker_(simulator, &update_queue_, config.staleness, config.alpha,
+               config.n_low, config.n_high),
       update_queue_(static_cast<std::size_t>(config.uq_max)),
       os_queue_(static_cast<std::size_t>(config.os_max)),
       // Response times are bounded by slack + execution; the paper

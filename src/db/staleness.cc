@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 
 #include "base/check.h"
 
@@ -27,15 +28,21 @@ bool DetectableByTimestamp(StalenessCriterion criterion) {
 }
 
 StalenessTracker::StalenessTracker(sim::Simulator* simulator,
+                                   const UpdateQueue* queue,
                                    StalenessCriterion criterion,
                                    sim::Duration max_age, int n_low,
                                    int n_high)
     : simulator_(simulator),
+      queue_(queue),
       criterion_(criterion),
       max_age_(max_age),
       low_(n_low),
       high_(n_high) {
   STRIP_CHECK(simulator != nullptr);
+  if (ReadsQueue()) {
+    STRIP_CHECK_MSG(queue != nullptr,
+                    "the unapplied-update criterion reads an update queue");
+  }
   if (UsesMaxAge()) {
     STRIP_CHECK_MSG(max_age > 0, "max age must be positive under MA");
   }
@@ -63,13 +70,23 @@ const StalenessTracker::ObjectState& StalenessTracker::state(
   return const_cast<StalenessTracker*>(this)->state(id);
 }
 
-bool StalenessTracker::ComputeStale(const ObjectState& s,
-                                    sim::Time t) const {
+bool StalenessTracker::QueueSaysStale(ObjectId id, const ObjectState& s,
+                                      const Update* entering) const {
+  if (entering != nullptr && entering->generation_time > s.db_generation) {
+    return true;
+  }
+  const std::optional<Update> newest = queue_->PeekNewestFor(id);
+  return newest.has_value() && newest->generation_time > s.db_generation;
+}
+
+bool StalenessTracker::ComputeStale(const ObjectState& s, sim::Time t,
+                                    bool uu_stale) const {
   // >= so the flag flips exactly at freshness + max_age (the boundary
-  // itself has measure zero).
+  // itself has measure zero). Evaluated at t = freshness + max_age,
+  // t - freshness can round below max_age (for about 1% of freshness
+  // values near 10^3 s, more at smaller ones), and the expiry then
+  // leaves the flag fresh until the object's next Refresh.
   const bool ma_stale = t - s.freshness >= max_age_;
-  const bool uu_stale =
-      !s.queued.empty() && s.queued.back().first > s.db_generation;
   switch (criterion_) {
     case StalenessCriterion::kMaxAge:
     case StalenessCriterion::kMaxAgeArrival:
@@ -82,9 +99,18 @@ bool StalenessTracker::ComputeStale(const ObjectState& s,
   return false;
 }
 
-void StalenessTracker::Refresh(ObjectId id, sim::Time t) {
+void StalenessTracker::Refresh(ObjectId id, sim::Time t,
+                               const Update* entering) {
+  if (ReadsQueue()) {
+    ObjectState& s = state(id);
+    s.uu_stale = QueueSaysStale(id, s, entering);
+  }
+  Reevaluate(id, t);
+}
+
+void StalenessTracker::Reevaluate(ObjectId id, sim::Time t) {
   ObjectState& s = state(id);
-  const bool now_stale = ComputeStale(s, t);
+  const bool now_stale = ComputeStale(s, t, s.uu_stale);
   if (now_stale == s.stale) return;
   s.stale = now_stale;
   sim::TimeWeighted& signal = stale_fraction_[static_cast<int>(id.cls)];
@@ -136,7 +162,7 @@ void StalenessTracker::ApplyDueExpiries() {
         const auto& objects =
             cls == ObjectClass::kLowImportance ? low_ : high_;
         for (int i = 0; i < static_cast<int>(objects.size()); ++i) {
-          if (objects[i].initial) Refresh({cls, i}, cohort_time_);
+          if (objects[i].initial) Reevaluate({cls, i}, cohort_time_);
         }
       }
     } else if (heap_due) {
@@ -151,7 +177,7 @@ void StalenessTracker::ApplyDueExpiries() {
         continue;
       }
       s.expiry_seq = 0;
-      Refresh(due.id, due.time);
+      Reevaluate(due.id, due.time);
     } else {
       return;
     }
@@ -183,30 +209,23 @@ void StalenessTracker::OnApply(ObjectId id, sim::Time generation_time,
   Refresh(id, simulator_->now());
 }
 
+// Under MA the queue does not matter, but the re-evaluation at now
+// still runs: it is what repairs a flag left fresh when an expiry at
+// freshness + max_age rounded below alpha (see ComputeStale).
 void StalenessTracker::OnEnqueued(const Update& update) {
   CatchUp();
-  ObjectState& s = state(update.object);
-  const std::pair<sim::Time, std::uint64_t> key{update.generation_time,
-                                                update.id.value()};
-  s.queued.insert(std::upper_bound(s.queued.begin(), s.queued.end(), key),
-                  key);
-  Refresh(update.object, simulator_->now());
+  Refresh(update.object, simulator_->now(), &update);
 }
 
 void StalenessTracker::OnRemovedFromQueue(const Update& update) {
   CatchUp();
-  ObjectState& s = state(update.object);
-  const std::pair<sim::Time, std::uint64_t> key{update.generation_time,
-                                                update.id.value()};
-  const auto it = std::lower_bound(s.queued.begin(), s.queued.end(), key);
-  STRIP_CHECK_MSG(it != s.queued.end() && *it == key,
-                  "removed update was not tracked as queued");
-  s.queued.erase(it);
   Refresh(update.object, simulator_->now());
 }
 
 bool StalenessTracker::IsStale(ObjectId id) const {
-  return ComputeStale(state(id), simulator_->now());
+  const ObjectState& s = state(id);
+  return ComputeStale(s, simulator_->now(),
+                      ReadsQueue() && QueueSaysStale(id, s, nullptr));
 }
 
 int StalenessTracker::StaleCount(ObjectClass cls) const {

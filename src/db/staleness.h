@@ -19,6 +19,13 @@
 // and a time-weighted stale count, so the staleness fraction f_old of
 // Section 3.5 is an exact integral rather than a sampled estimate.
 //
+// UU is read from the controller's UpdateQueue itself: an object is
+// UU-stale when the queue's newest update for it (PeekNewestFor, one
+// indexed load) is newer than the database value. The tracker keeps
+// no copy of the queue; the queue-change callbacks only re-evaluate
+// the object's flag after the queue has changed, so the stale-count
+// signal sees the same changes per-update bookkeeping would.
+//
 // MA expiries do not go through the simulator. An object's pending
 // expiry is one entry in a tracker-local min-heap ordered by (expiry
 // time, local sequence). Nothing is ever cancelled: re-applying an
@@ -41,11 +48,11 @@
 #define STRIP_DB_STALENESS_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "db/object.h"
 #include "db/update.h"
+#include "db/update_queue.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 
@@ -75,9 +82,12 @@ class StalenessTracker {
   // `max_age` is alpha; it is ignored under kUnappliedUpdate. All
   // objects start fresh with generation time 0 (matching Database's
   // initial state). The tracker reads the clock of `simulator`, which
-  // must outlive it, and schedules no events on it.
-  StalenessTracker(sim::Simulator* simulator, StalenessCriterion criterion,
-                   sim::Duration max_age, int n_low, int n_high);
+  // must outlive it, and schedules no events on it. Under UU and MA+UU
+  // it reads `queue`, which must outlive it; the MA family reads no
+  // queue and `queue` may be null.
+  StalenessTracker(sim::Simulator* simulator, const UpdateQueue* queue,
+                   StalenessCriterion criterion, sim::Duration max_age,
+                   int n_low, int n_high);
 
   StalenessTracker(const StalenessTracker&) = delete;
   StalenessTracker& operator=(const StalenessTracker&) = delete;
@@ -97,10 +107,14 @@ class StalenessTracker {
     OnApply(id, generation_time, generation_time);
   }
 
-  // `update` entered the controller's update queue.
+  // `update` entered the controller's update queue. Call after the
+  // queue has changed: the flag is re-evaluated against it, with
+  // `update` counted as queued even if the push evicted it again (an
+  // eviction is reported next, by OnRemovedFromQueue).
   void OnEnqueued(const Update& update);
 
   // `update` left the update queue (installed, expired, or evicted).
+  // Call after the queue has changed.
   void OnRemovedFromQueue(const Update& update);
 
   // Is the object stale right now, under this tracker's criterion?
@@ -125,18 +139,16 @@ class StalenessTracker {
     // The timestamp MA-style aging runs on: the generation time, or
     // the arrival time under kMaxAgeArrival.
     sim::Time freshness = 0;
-    // Generation times of this object's queued updates, kept sorted
-    // ascending (ties broken by update id, so keys are unique). A flat
-    // vector beats a node-based set here: the per-object backlog is
-    // small — usually zero or one entry, bounded by the queue depth —
-    // so ordered insert/erase are a short memmove with no allocation,
-    // and the UU check reads the max straight off the back.
-    std::vector<std::pair<sim::Time, std::uint64_t>> queued;
     // Sequence of this object's live expiry-heap entry; 0 if none.
     std::uint64_t expiry_seq = 0;
     // Still in the t = 0 cohort: never applied since construction.
     bool initial = true;
     bool stale = false;
+    // The UU verdict as of the object's last Refresh. Every queue
+    // change refreshes its object, so this is what the queue said
+    // until the change being reported; expiries caught up late are
+    // evaluated with it, as of their own earlier instants.
+    bool uu_stale = false;
   };
 
   // One pending MA expiry. An entry whose `seq` no longer matches the
@@ -155,11 +167,24 @@ class StalenessTracker {
   ObjectState& state(ObjectId id);
   const ObjectState& state(ObjectId id) const;
 
-  bool ComputeStale(const ObjectState& s, sim::Time t) const;
+  // The UU verdict read from the queue: does it hold an update for
+  // `id` newer than the database value? `entering` (if not null)
+  // counts as queued too: OnEnqueued reports an update that a full
+  // queue may already have evicted again, and the verdict must see it
+  // queued until that eviction is reported.
+  bool QueueSaysStale(ObjectId id, const ObjectState& s,
+                      const Update* entering) const;
 
-  // Re-evaluates one object's flag as of `t` and folds any change into
-  // the stale-count signal at `t`.
-  void Refresh(ObjectId id, sim::Time t);
+  // The flag under this criterion at `t`, given the UU verdict.
+  bool ComputeStale(const ObjectState& s, sim::Time t, bool uu_stale) const;
+
+  // Re-reads the object's UU verdict from the queue (UU and MA+UU
+  // only), then re-evaluates its flag as of `t`.
+  void Refresh(ObjectId id, sim::Time t, const Update* entering = nullptr);
+
+  // Re-evaluates one object's flag as of `t` with its stored UU
+  // verdict and folds any change into the stale-count signal at `t`.
+  void Reevaluate(ObjectId id, sim::Time t);
 
   // Arms the MA expiry of an object whose freshness an apply just
   // moved; `previous_expiry` is its expiry before the apply.
@@ -176,8 +201,13 @@ class StalenessTracker {
   bool UsesMaxAge() const {
     return criterion_ != StalenessCriterion::kUnappliedUpdate;
   }
+  bool ReadsQueue() const {
+    return criterion_ == StalenessCriterion::kUnappliedUpdate ||
+           criterion_ == StalenessCriterion::kCombined;
+  }
 
   sim::Simulator* simulator_;
+  const UpdateQueue* queue_;
   StalenessCriterion criterion_;
   sim::Duration max_age_;
   std::vector<ObjectState> low_;

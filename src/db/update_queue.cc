@@ -33,7 +33,8 @@ bool UpdateQueue::FlatKeyIndex::Insert(const Key& key) {
   if (head_ > 0 && dist_front <= dist_back) {
     // Shift the (shorter) prefix one left into the head gap. Key is
     // trivially copyable, so memmove is fine.
-    std::memmove(&keys_[head_ - 1], &keys_[head_], dist_front * sizeof(Key));
+    std::memmove(keys_.data() + head_ - 1, keys_.data() + head_,
+                 dist_front * sizeof(Key));
     --head_;
     keys_[pos - 1] = key;
   } else {
@@ -50,7 +51,8 @@ bool UpdateQueue::FlatKeyIndex::Erase(const Key& key, std::uint32_t* slot) {
   const std::size_t dist_back = keys_.size() - pos - 1;
   if (dist_front <= dist_back) {
     // Shift the (shorter) prefix one right over the erased key.
-    std::memmove(&keys_[head_ + 1], &keys_[head_], dist_front * sizeof(Key));
+    std::memmove(keys_.data() + head_ + 1, keys_.data() + head_,
+                 dist_front * sizeof(Key));
     ++head_;
     MaybeCompact();
   } else {
@@ -102,119 +104,119 @@ std::uint32_t UpdateQueue::AcquireSlot(const Update& update) {
   return static_cast<std::uint32_t>(pool_.size() - 1);
 }
 
-Update UpdateQueue::DetachFromSecondary(const Key& key) {
+Update UpdateQueue::Detach(const Key& key) {
   Update update = pool_[key.slot];
-  auto obj_it = by_object_.find(update.object);
-  STRIP_CHECK_MSG(obj_it != by_object_.end(), "object index out of sync");
-  std::vector<Key>& keys = obj_it->second;
+  std::vector<Key>& keys = by_object_[static_cast<int>(update.object.cls)]
+                                     [static_cast<std::size_t>(
+                                         update.object.index)];
   const auto pos = std::lower_bound(keys.begin(), keys.end(), key, KeyLess);
   STRIP_CHECK_MSG(pos != keys.end() && KeySame(*pos, key),
                   "object index out of sync");
   keys.erase(pos);
-  if (keys.empty()) by_object_.erase(obj_it);
-  const bool in_class =
-      by_class_[static_cast<int>(update.object.cls)].Erase(key, nullptr);
-  STRIP_CHECK_MSG(in_class, "class index out of sync");
-  ReleaseSlot(key.slot);
+  free_slots_.push_back(key.slot);
   return update;
 }
 
 std::vector<Update> UpdateQueue::Push(const Update& update) {
   const std::uint32_t slot = AcquireSlot(update);
   const Key key{update.generation_time, update.id.value(), slot};
-  const bool inserted = by_generation_.Insert(key);
+  const bool inserted = class_index(update.object.cls).Insert(key);
   STRIP_CHECK_MSG(inserted, "duplicate update id pushed");
-  std::vector<Key>& obj_keys = by_object_[update.object];
-  obj_keys.insert(
-      std::lower_bound(obj_keys.begin(), obj_keys.end(), key, KeyLess), key);
-  by_class_[static_cast<int>(update.object.cls)].Insert(key);
+  STRIP_CHECK_MSG(update.object.index >= 0, "object index out of range");
+  std::vector<std::vector<Key>>& table =
+      by_object_[static_cast<int>(update.object.cls)];
+  const auto index = static_cast<std::size_t>(update.object.index);
+  if (index >= table.size()) table.resize(index + 1);
+  std::vector<Key>& keys = table[index];
+  keys.insert(std::lower_bound(keys.begin(), keys.end(), key, KeyLess), key);
   std::vector<Update> evicted;
-  while (by_generation_.size() > max_size_) {
-    const Key oldest = by_generation_.front();
-    by_generation_.PopFront();
-    evicted.push_back(DetachFromSecondary(oldest));
+  while (size() > max_size_) {
+    evicted.push_back(*PopOldest());
     ++overflow_drops_;
   }
   return evicted;
 }
 
+// The global order is the merge of the two class indexes, so the
+// oldest update overall is the lesser of their fronts and the newest
+// the greater of their backs.
 std::optional<Update> UpdateQueue::PopOldest() {
-  if (by_generation_.empty()) return std::nullopt;
-  const Key key = by_generation_.front();
-  by_generation_.PopFront();
-  return DetachFromSecondary(key);
+  const FlatKeyIndex& low = by_class_[0];
+  const FlatKeyIndex& high = by_class_[1];
+  const bool high_first =
+      low.empty() || (!high.empty() && KeyLess(high.front(), low.front()));
+  return PopOldestOfClass(high_first ? ObjectClass::kHighImportance
+                                     : ObjectClass::kLowImportance);
 }
 
 std::optional<Update> UpdateQueue::PopNewest() {
-  if (by_generation_.empty()) return std::nullopt;
-  const Key key = by_generation_.back();
-  by_generation_.PopBack();
-  return DetachFromSecondary(key);
+  const FlatKeyIndex& low = by_class_[0];
+  const FlatKeyIndex& high = by_class_[1];
+  const bool high_last =
+      low.empty() || (!high.empty() && KeyLess(low.back(), high.back()));
+  return PopNewestOfClass(high_last ? ObjectClass::kHighImportance
+                                    : ObjectClass::kLowImportance);
 }
 
 std::optional<Update> UpdateQueue::PopOldestOfClass(ObjectClass cls) {
-  FlatKeyIndex& keys = by_class_[static_cast<int>(cls)];
+  FlatKeyIndex& keys = class_index(cls);
   if (keys.empty()) return std::nullopt;
-  // DetachFromSecondary removes the class entry itself (front, so the
-  // erase is an O(1) head advance); the primary index is removed here.
   const Key key = keys.front();
-  const bool in_primary = by_generation_.Erase(key, nullptr);
-  STRIP_CHECK_MSG(in_primary, "generation index out of sync");
-  return DetachFromSecondary(key);
+  keys.PopFront();
+  return Detach(key);
 }
 
 std::optional<Update> UpdateQueue::PopNewestOfClass(ObjectClass cls) {
-  FlatKeyIndex& keys = by_class_[static_cast<int>(cls)];
+  FlatKeyIndex& keys = class_index(cls);
   if (keys.empty()) return std::nullopt;
   const Key key = keys.back();
-  const bool in_primary = by_generation_.Erase(key, nullptr);
-  STRIP_CHECK_MSG(in_primary, "generation index out of sync");
-  return DetachFromSecondary(key);
+  keys.PopBack();
+  return Detach(key);
 }
 
 std::vector<Update> UpdateQueue::PurgeGeneratedBefore(sim::Time cutoff) {
-  const std::size_t n = by_generation_.CountBefore(cutoff);
+  FlatKeyIndex& low = by_class_[0];
+  FlatKeyIndex& high = by_class_[1];
+  // Usually nothing is due, which the two fronts decide alone.
+  const bool low_due = !low.empty() && low.front().time < cutoff;
+  const bool high_due = !high.empty() && high.front().time < cutoff;
+  if (!low_due && !high_due) return {};
+  const std::size_t n_low = low_due ? low.CountBefore(cutoff) : 0;
+  const std::size_t n_high = high_due ? high.CountBefore(cutoff) : 0;
   std::vector<Update> purged;
-  purged.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Each purged key is the current front of its class index, so the
-    // secondary erases are head advances; the primary index is dropped
-    // in one batch below.
-    purged.push_back(DetachFromSecondary(by_generation_.at(i)));
+  purged.reserve(n_low + n_high);
+  // Merge the two due prefixes so the result is oldest first across
+  // classes; each class index then drops its prefix in one batch.
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < n_low || j < n_high) {
+    const bool take_low =
+        j == n_high || (i < n_low && KeyLess(low.at(i), high.at(j)));
+    purged.push_back(Detach(take_low ? low.at(i++) : high.at(j++)));
   }
-  by_generation_.DropFront(n);
+  low.DropFront(n_low);
+  high.DropFront(n_high);
   return purged;
 }
 
 std::optional<Update> UpdateQueue::PeekNewestFor(ObjectId object) const {
-  auto it = by_object_.find(object);
-  if (it == by_object_.end()) return std::nullopt;
-  STRIP_CHECK(!it->second.empty());
-  return pool_[it->second.back().slot];
+  const std::vector<std::vector<Key>>& table =
+      by_object_[static_cast<int>(object.cls)];
+  const auto index = static_cast<std::size_t>(object.index);
+  if (index >= table.size() || table[index].empty()) return std::nullopt;
+  return pool_[table[index].back().slot];
 }
 
 bool UpdateQueue::Remove(const Update& update) {
   std::uint32_t slot = 0;
-  if (!by_generation_.Erase(Key{update.generation_time, update.id.value(), 0},
-                            &slot)) {
+  if (!class_index(update.object.cls)
+           .Erase(Key{update.generation_time, update.id.value(), 0}, &slot)) {
     return false;
   }
-  DetachFromSecondary(Key{update.generation_time, update.id.value(), slot});
+  STRIP_CHECK_MSG(pool_[slot].object == update.object,
+                  "object index out of sync with the removed update");
+  Detach(Key{update.generation_time, update.id.value(), slot});
   return true;
-}
-
-bool UpdateQueue::HasUpdateFor(ObjectId object) const {
-  return by_object_.find(object) != by_object_.end();
-}
-
-sim::Time UpdateQueue::OldestGeneration() const {
-  STRIP_CHECK_MSG(!empty(), "OldestGeneration on empty queue");
-  return by_generation_.front().time;
-}
-
-sim::Time UpdateQueue::NewestGeneration() const {
-  STRIP_CHECK_MSG(!empty(), "NewestGeneration on empty queue");
-  return by_generation_.back().time;
 }
 
 }  // namespace strip::db

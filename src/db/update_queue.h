@@ -11,15 +11,23 @@
 // needed by the On Demand policy (PeekNewestFor / Remove).
 //
 // Implementation note: updates live in a pooled slab (slots recycled
-// through a free list) and the orderings are flat sorted vectors of
-// packed (generation_time, id, slot) keys — one global, one per
-// importance class, one small vector per object. The flat indexes keep
-// a head offset so FIFO service and Maximum-Age purges are O(1)
-// amortized pops with batched compaction, and inserts/erases shift
-// whichever side of the vector is shorter, so the paper's near-in-
-// generation-order arrival pattern costs a few cache lines per update
-// instead of three node-based tree insertions. A per-object index is
-// always maintained so that PeekNewestFor is cheap in wall-clock time.
+// through a free list) and are indexed twice, by packed
+// (generation_time, id, slot) keys:
+//
+//  - per importance class, a flat sorted vector with a head offset, so
+//    FIFO service and Maximum-Age purges are O(1) amortized pops with
+//    batched compaction, and inserts/erases shift whichever side of the
+//    vector is shorter (the paper's near-in-generation-order arrivals
+//    cost a few cache lines each);
+//  - per object, a small sorted vector in a dense table indexed by
+//    ObjectId::index, so PeekNewestFor is one indexed load. A table
+//    grows the first time an index is pushed; buffers keep their
+//    capacity, so a warmed-up queue allocates nothing per update.
+//
+// There is no global index: with two classes, the global (time, id)
+// order is the merge of the two class indexes, so the oldest or newest
+// update overall is the lesser front or greater back of the two.
+//
 // The *simulated* cost of a scan is charged separately by the
 // controller (x_scan · queue size for the plain queue of the paper,
 // constant for the hash-indexed extension of Sections 4.2/4.4); the
@@ -31,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "db/object.h"
@@ -75,21 +82,16 @@ class UpdateQueue {
   // Newest queued update for `object`, if any. Does not remove it.
   std::optional<Update> PeekNewestFor(ObjectId object) const;
 
-  // Removes the specific update identified by `update.id`. Returns
-  // true if it was present.
+  // Removes the specific update identified by `update.id` (and its
+  // generation time). Returns true if it was present. A queued update
+  // with that identity must target `update.object`.
   bool Remove(const Update& update);
 
-  // True if any update for `object` is queued.
-  bool HasUpdateFor(ObjectId object) const;
-
-  std::size_t size() const { return by_generation_.size(); }
-  bool empty() const { return by_generation_.empty(); }
+  std::size_t size() const {
+    return by_class_[0].size() + by_class_[1].size();
+  }
+  bool empty() const { return size() == 0; }
   std::size_t max_size() const { return max_size_; }
-
-  // Generation time of the oldest / newest queued update.
-  // Precondition: !empty().
-  sim::Time OldestGeneration() const;
-  sim::Time NewestGeneration() const;
 
   // Lifetime eviction count (overflow drops).
   std::uint64_t overflow_drops() const { return overflow_drops_; }
@@ -148,26 +150,27 @@ class UpdateQueue {
     std::size_t head_ = 0;
   };
 
-  std::uint32_t AcquireSlot(const Update& update);
-  void ReleaseSlot(std::uint32_t slot) { free_slots_.push_back(slot); }
+  FlatKeyIndex& class_index(ObjectClass cls) {
+    return by_class_[static_cast<int>(cls)];
+  }
 
-  // Removes `key` from the per-object and per-class indexes and frees
-  // its pool slot; returns the stored update. Does not touch
-  // by_generation_ (callers remove that side themselves).
-  Update DetachFromSecondary(const Key& key);
+  std::uint32_t AcquireSlot(const Update& update);
+
+  // Removes a key already taken out of its class index from the
+  // per-object index and frees its pool slot; returns the update.
+  Update Detach(const Key& key);
 
   std::size_t max_size_;
   // Pooled update storage; `free_slots_` holds recyclable entries.
   std::vector<Update> pool_;
   std::vector<std::uint32_t> free_slots_;
-  // Primary ordering over all queued updates.
-  FlatKeyIndex by_generation_;
-  // Per-class secondary index, same ordering.
+  // Per-class generation order; together they hold every queued key.
   FlatKeyIndex by_class_[kNumObjectClasses];
-  // Per-object secondary index: this object's keys, sorted so back()
-  // is the newest. Object vectors are tiny (load factor ~ queue size /
-  // database size), so a plain sorted vector beats a tree.
-  std::unordered_map<ObjectId, std::vector<Key>, ObjectIdHash> by_object_;
+  // Per-class dense table of per-object key vectors, indexed by
+  // ObjectId::index; each vector is sorted so back() is the newest. A
+  // vector is tiny (load factor ~ queue size / database size), so a
+  // plain sorted vector beats a tree.
+  std::vector<std::vector<Key>> by_object_[kNumObjectClasses];
   std::uint64_t overflow_drops_ = 0;
 };
 

@@ -49,7 +49,9 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
     } else if (ConsumePrefix(arg, "--seed=", &rest)) {
       if (!ParseUint64(rest, &args.seed)) BadValue(argv[0], arg);
     } else if (ConsumePrefix(arg, "--jobs=", &rest)) {
-      if (!ParseInt(rest, &args.parallel.jobs)) BadValue(argv[0], arg);
+      if (!ParseInt(rest, &args.parallel.jobs) || args.parallel.jobs < 0) {
+        BadValue(argv[0], arg);
+      }
     } else if (ConsumePrefix(arg, "--threads=", &rest)) {
       std::fprintf(stderr,
                    "%s: --threads= was removed; use --jobs=%s\n", argv[0],

@@ -18,7 +18,10 @@ namespace strip::exp {
 
 ParallelRunner::ParallelRunner(const ParallelOptions& options)
     : options_(options),
-      jobs_(options.jobs > 0 ? options.jobs : HardwareJobs()) {}
+      jobs_(options.jobs > 0 ? options.jobs : HardwareJobs()) {
+  STRIP_CHECK_MSG(options.jobs >= 0,
+                  "jobs must be >= 0 (0 means one per hardware core)");
+}
 
 int ParallelRunner::HardwareJobs() {
   const unsigned cores = std::thread::hardware_concurrency();

@@ -35,7 +35,8 @@ namespace strip::exp {
 
 // How a runner spreads work across the machine.
 struct ParallelOptions {
-  // Worker threads; 0 means one per hardware core.
+  // Worker threads; 0 means one per hardware core. Negative is
+  // invalid.
   int jobs = 0;
   // Pin worker i to core i (mod core count). Linux-only; silently a
   // no-op on other platforms and a one-line warning when the kernel

@@ -69,7 +69,8 @@ TEST(DerivedRegistryTest, EffectiveGenerationIsOldestInput) {
 
 TEST(DerivedRegistryTest, StaleIfAnyInputStale) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 7.0, 4, 4);
+  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
+                           4, 4);
   DerivedRegistry registry;
   const int id = registry.Define(Portfolio(Aggregation::kAverage));
   EXPECT_FALSE(registry.IsStale(id, tracker));
@@ -105,15 +106,17 @@ TEST(DerivedRegistryTest, FresheningUpdatesAnswersTheOdQuestion) {
 
 TEST(DerivedRegistryTest, UuStalenessPropagates) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kUnappliedUpdate, 0.0,
-                           4, 4);
+  UpdateQueue queue(16);
+  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
+                           0.0, 4, 4);
   DerivedRegistry registry;
   const int id = registry.Define(Portfolio(Aggregation::kAverage));
   EXPECT_FALSE(registry.IsStale(id, tracker));
   // A queued newer update for one constituent makes the whole
   // portfolio UU-stale.
-  tracker.OnEnqueued(
-      MakeUpdate(1, {ObjectClass::kHighImportance, 1}, 1.0, 5.0));
+  const Update u = MakeUpdate(1, {ObjectClass::kHighImportance, 1}, 1.0, 5.0);
+  queue.Push(u);
+  tracker.OnEnqueued(u);
   EXPECT_TRUE(registry.IsStale(id, tracker));
   EXPECT_EQ(registry.StaleInputs(id, tracker).size(), 1u);
 }

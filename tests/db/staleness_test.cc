@@ -6,10 +6,12 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
 
+#include "db/update_queue.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
@@ -30,6 +32,18 @@ Update MakeUpdate(std::uint64_t id, sim::Time generation,
   return u;
 }
 
+// Queue changes as core::System makes them: the queue first, then the
+// tracker that reads it.
+void Enqueue(UpdateQueue* queue, StalenessTracker* tracker, const Update& u) {
+  ASSERT_TRUE(queue->Push(u).empty());
+  tracker->OnEnqueued(u);
+}
+
+void Dequeue(UpdateQueue* queue, StalenessTracker* tracker, const Update& u) {
+  ASSERT_TRUE(queue->Remove(u));
+  tracker->OnRemovedFromQueue(u);
+}
+
 TEST(StalenessNamesTest, CriterionNames) {
   EXPECT_STREQ(StalenessCriterionName(StalenessCriterion::kMaxAge), "MA");
   EXPECT_STREQ(StalenessCriterionName(StalenessCriterion::kUnappliedUpdate),
@@ -42,7 +56,8 @@ TEST(StalenessNamesTest, CriterionNames) {
 
 TEST(MaxAgeTest, FreshUntilAlpha) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 7.0, 2, 2);
+  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
+                           2, 2);
   EXPECT_FALSE(tracker.IsStale(kObj));
   sim.RunUntil(6.9);
   EXPECT_FALSE(tracker.IsStale(kObj));
@@ -50,7 +65,8 @@ TEST(MaxAgeTest, FreshUntilAlpha) {
 
 TEST(MaxAgeTest, ObjectExpiresAtAlpha) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 7.0, 2, 2);
+  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
+                           2, 2);
   sim.RunUntil(7.5);
   EXPECT_TRUE(tracker.IsStale(kObj));
   EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 2);
@@ -59,7 +75,8 @@ TEST(MaxAgeTest, ObjectExpiresAtAlpha) {
 
 TEST(MaxAgeTest, ApplyRefreshesAndReschedulesExpiry) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 7.0, 2, 2);
+  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
+                           2, 2);
   sim.RunUntil(5.0);
   tracker.OnApply(kObj, 5.0);  // fresh value generated right now
   sim.RunUntil(11.0);          // 5 + 7 = 12 > 11: still fresh
@@ -70,7 +87,8 @@ TEST(MaxAgeTest, ApplyRefreshesAndReschedulesExpiry) {
 
 TEST(MaxAgeTest, ApplyOfAgedValueCanLeaveObjectStale) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 7.0, 2, 2);
+  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
+                           2, 2);
   sim.RunUntil(20.0);
   tracker.OnApply(kObj, 10.0);  // value already 10 seconds old
   EXPECT_TRUE(tracker.IsStale(kObj));
@@ -80,7 +98,8 @@ TEST(MaxAgeTest, ApplyOfAgedValueCanLeaveObjectStale) {
 
 TEST(MaxAgeTest, StaleCountTracksPerPartition) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 7.0, 3, 1);
+  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
+                           3, 1);
   sim.RunUntil(8.0);  // everything stale
   EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 3);
   EXPECT_EQ(tracker.StaleCount(ObjectClass::kHighImportance), 1);
@@ -92,7 +111,8 @@ TEST(MaxAgeTest, StaleCountTracksPerPartition) {
 
 TEST(MaxAgeTest, FractionStaleAverageIsExactIntegral) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 5.0, 1, 1);
+  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 5.0,
+                           1, 1);
   // The single low object: fresh [0,5), stale [5,8), fresh [8,13),
   // stale [13,20]. OnApply at t=8 with generation 8.
   sim.RunUntil(8.0);
@@ -105,7 +125,8 @@ TEST(MaxAgeTest, FractionStaleAverageIsExactIntegral) {
 
 TEST(MaxAgeTest, ResetObservationDropsHistory) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 5.0, 1, 1);
+  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 5.0,
+                           1, 1);
   sim.RunUntil(10.0);  // stale since t=5
   tracker.ResetObservation();
   sim.RunUntil(20.0);  // stale for the whole observed window
@@ -117,81 +138,88 @@ TEST(MaxAgeTest, ResetObservationDropsHistory) {
 
 TEST(UnappliedUpdateTest, FreshWithEmptyQueue) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kUnappliedUpdate, 0.0,
-                           2, 2);
+  UpdateQueue queue(16);
+  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
+                           0.0, 2, 2);
   sim.RunUntil(100.0);  // no max-age under UU: stays fresh forever
   EXPECT_FALSE(tracker.IsStale(kObj));
 }
 
 TEST(UnappliedUpdateTest, NewerQueuedUpdateMakesStale) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kUnappliedUpdate, 0.0,
-                           2, 2);
+  UpdateQueue queue(16);
+  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
+                           0.0, 2, 2);
   sim.RunUntil(1.0);
-  tracker.OnEnqueued(MakeUpdate(1, 0.5));
+  Enqueue(&queue, &tracker, MakeUpdate(1, 0.5));
   EXPECT_TRUE(tracker.IsStale(kObj));
   EXPECT_FALSE(tracker.IsStale({ObjectClass::kLowImportance, 1}));
 }
 
 TEST(UnappliedUpdateTest, ApplyingTheUpdateMakesFresh) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kUnappliedUpdate, 0.0,
-                           2, 2);
+  UpdateQueue queue(16);
+  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
+                           0.0, 2, 2);
   const Update u = MakeUpdate(1, 0.5);
-  tracker.OnEnqueued(u);
-  tracker.OnRemovedFromQueue(u);
+  Enqueue(&queue, &tracker, u);
+  Dequeue(&queue, &tracker, u);
   tracker.OnApply(kObj, u.generation_time);
   EXPECT_FALSE(tracker.IsStale(kObj));
 }
 
 TEST(UnappliedUpdateTest, OlderQueuedUpdateDoesNotMakeStale) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kUnappliedUpdate, 0.0,
-                           2, 2);
+  UpdateQueue queue(16);
+  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
+                           0.0, 2, 2);
   tracker.OnApply(kObj, 5.0);
-  tracker.OnEnqueued(MakeUpdate(1, 3.0));  // older than the DB value
+  Enqueue(&queue, &tracker, MakeUpdate(1, 3.0));  // older than the DB value
   EXPECT_FALSE(tracker.IsStale(kObj));
 }
 
 TEST(UnappliedUpdateTest, LifoApplyLeavesOnlyWorthlessQueuedUpdates) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kUnappliedUpdate, 0.0,
-                           2, 2);
+  UpdateQueue queue(16);
+  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
+                           0.0, 2, 2);
   const Update older = MakeUpdate(1, 1.0);
   const Update newer = MakeUpdate(2, 2.0);
-  tracker.OnEnqueued(older);
-  tracker.OnEnqueued(newer);
+  Enqueue(&queue, &tracker, older);
+  Enqueue(&queue, &tracker, newer);
   EXPECT_TRUE(tracker.IsStale(kObj));
   // LIFO: the newest is applied first; the older queued update cannot
   // make the data fresher, so the object is semantically fresh.
-  tracker.OnRemovedFromQueue(newer);
+  Dequeue(&queue, &tracker, newer);
   tracker.OnApply(kObj, newer.generation_time);
   EXPECT_FALSE(tracker.IsStale(kObj));
   // Discarding the worthless leftover changes nothing.
-  tracker.OnRemovedFromQueue(older);
+  Dequeue(&queue, &tracker, older);
   EXPECT_FALSE(tracker.IsStale(kObj));
 }
 
 TEST(UnappliedUpdateTest, DiscardingOnlyPendingUpdateMakesFresh) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kUnappliedUpdate, 0.0,
-                           2, 2);
+  UpdateQueue queue(16);
+  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
+                           0.0, 2, 2);
   const Update u = MakeUpdate(1, 1.0);
-  tracker.OnEnqueued(u);
+  Enqueue(&queue, &tracker, u);
   EXPECT_TRUE(tracker.IsStale(kObj));
-  tracker.OnRemovedFromQueue(u);  // dropped, not applied
+  Dequeue(&queue, &tracker, u);  // dropped, not applied
   EXPECT_FALSE(tracker.IsStale(kObj));
 }
 
 TEST(UnappliedUpdateTest, FractionAverageIntegratesQueueResidence) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kUnappliedUpdate, 0.0,
-                           1, 1);
+  UpdateQueue queue(16);
+  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
+                           0.0, 1, 1);
   const Update u = MakeUpdate(1, 1.0);
   sim.RunUntil(2.0);
-  tracker.OnEnqueued(u);
+  Enqueue(&queue, &tracker, u);
   sim.RunUntil(6.0);
-  tracker.OnRemovedFromQueue(u);
+  Dequeue(&queue, &tracker, u);
   tracker.OnApply({ObjectClass::kLowImportance, 0}, 1.0);
   sim.RunUntil(10.0);
   // Stale during [2,6] of [0,10].
@@ -213,8 +241,8 @@ TEST(MaxAgeArrivalTest, NamesAndDetectability) {
 
 TEST(MaxAgeArrivalTest, AgesOnArrivalNotGeneration) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAgeArrival, 7.0, 2,
-                           2);
+  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAgeArrival,
+                           7.0, 2, 2);
   sim.RunUntil(10.0);
   // Value generated at 2 but arrived at 10: under generation-MA it
   // would already be stale (age 8 > 7); under arrival-MA it is fresh
@@ -229,16 +257,16 @@ TEST(MaxAgeArrivalTest, AgesOnArrivalNotGeneration) {
 
 TEST(MaxAgeArrivalTest, InitialObjectsExpireAtAlpha) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAgeArrival, 5.0, 2,
-                           2);
+  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAgeArrival,
+                           5.0, 2, 2);
   sim.RunUntil(5.5);
   EXPECT_TRUE(tracker.IsStale(kObj));
 }
 
 TEST(MaxAgeArrivalTest, TwoArgOnApplyTreatsArrivalAsGeneration) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAgeArrival, 7.0, 2,
-                           2);
+  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAgeArrival,
+                           7.0, 2, 2);
   sim.RunUntil(10.0);
   tracker.OnApply(kObj, 2.0);  // arrival defaults to generation: age 8 > 7
   EXPECT_TRUE(tracker.IsStale(kObj));
@@ -248,10 +276,12 @@ TEST(MaxAgeArrivalTest, TwoArgOnApplyTreatsArrivalAsGeneration) {
 
 TEST(CombinedTest, StaleUnderEitherCriterion) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kCombined, 7.0, 2, 2);
+  UpdateQueue queue(16);
+  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kCombined,
+                           7.0, 2, 2);
   // UU-stale before alpha.
   sim.RunUntil(1.0);
-  tracker.OnEnqueued(MakeUpdate(1, 0.5));
+  Enqueue(&queue, &tracker, MakeUpdate(1, 0.5));
   EXPECT_TRUE(tracker.IsStale(kObj));
   // Other object: MA-stale after alpha even with empty queue.
   EXPECT_FALSE(tracker.IsStale({ObjectClass::kLowImportance, 1}));
@@ -261,12 +291,14 @@ TEST(CombinedTest, StaleUnderEitherCriterion) {
 
 TEST(CombinedTest, FreshRequiresBoth) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kCombined, 7.0, 2, 2);
+  UpdateQueue queue(16);
+  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kCombined,
+                           7.0, 2, 2);
   sim.RunUntil(8.0);
   const Update u = MakeUpdate(1, 7.9);
-  tracker.OnEnqueued(u);
+  Enqueue(&queue, &tracker, u);
   EXPECT_TRUE(tracker.IsStale(kObj));  // stale under both
-  tracker.OnRemovedFromQueue(u);
+  Dequeue(&queue, &tracker, u);
   tracker.OnApply(kObj, u.generation_time);
   EXPECT_FALSE(tracker.IsStale(kObj));
 }
@@ -275,9 +307,10 @@ TEST(CombinedTest, FreshRequiresBoth) {
 
 TEST(StalenessTrackerTest, HighPartitionIsIndependent) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kUnappliedUpdate, 0.0,
-                           2, 2);
-  tracker.OnEnqueued(MakeUpdate(1, 1.0, kHighObj));
+  UpdateQueue queue(16);
+  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
+                           0.0, 2, 2);
+  Enqueue(&queue, &tracker, MakeUpdate(1, 1.0, kHighObj));
   EXPECT_TRUE(tracker.IsStale(kHighObj));
   EXPECT_FALSE(tracker.IsStale(kObj));
   EXPECT_DOUBLE_EQ(tracker.FractionStaleNow(ObjectClass::kHighImportance),
@@ -289,19 +322,34 @@ TEST(StalenessTrackerTest, HighPartitionIsIndependent) {
 TEST(StalenessTrackerDeathTest, InvalidUse) {
   sim::Simulator sim;
   EXPECT_DEATH(
-      StalenessTracker(&sim, StalenessCriterion::kMaxAge, 0.0, 2, 2),
+      StalenessTracker(&sim, nullptr, StalenessCriterion::kMaxAge, 0.0, 2, 2),
       "max age");
-  StalenessTracker tracker(&sim, StalenessCriterion::kUnappliedUpdate, 0.0,
-                           2, 2);
-  EXPECT_DEATH(tracker.OnRemovedFromQueue(MakeUpdate(1, 1.0)),
-               "not tracked");
+  EXPECT_DEATH(StalenessTracker(&sim, nullptr,
+                                StalenessCriterion::kUnappliedUpdate, 0.0, 2,
+                                2),
+               "reads an update queue");
+  EXPECT_DEATH(
+      StalenessTracker(&sim, nullptr, StalenessCriterion::kCombined, 7.0, 2,
+                       2),
+      "reads an update queue");
+  UpdateQueue queue(4);
+  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
+                           0.0, 2, 2);
+  Enqueue(&queue, &tracker, MakeUpdate(1, 1.0));
+  // The tracker keeps no copy of the queue to check against; removing
+  // an update under another object's identity trips the queue's own
+  // consistency check instead.
+  EXPECT_DEATH(queue.Remove(MakeUpdate(1, 1.0, {ObjectClass::kLowImportance,
+                                                1})),
+               "out of sync");
   EXPECT_DEATH(tracker.IsStale({ObjectClass::kLowImportance, 9}),
                "out of range");
 }
 
 TEST(StalenessTrackerTest, AccessorsExposeConfiguration) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 7.0, 2, 2);
+  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
+                           2, 2);
   EXPECT_EQ(tracker.criterion(), StalenessCriterion::kMaxAge);
   EXPECT_DOUBLE_EQ(tracker.max_age(), 7.0);
 }
@@ -310,8 +358,8 @@ TEST(StalenessTrackerTest, AccessorsExposeConfiguration) {
 
 TEST(LazyExpiryTest, MillionObjectTrackerSchedulesNoEvents) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 7.0, 500000,
-                           500000);
+  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
+                           500000, 500000);
   EXPECT_EQ(sim.events_pending(), 0u);
   tracker.OnApply({ObjectClass::kLowImportance, 3}, 0.0);
   EXPECT_EQ(sim.events_pending(), 0u);
@@ -323,7 +371,8 @@ TEST(LazyExpiryTest, MillionObjectTrackerSchedulesNoEvents) {
 
 TEST(LazyExpiryTest, ReappliedObjectExpiresOnceAtItsNewestTime) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 7.0, 1, 1);
+  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
+                           1, 1);
   sim.RunUntil(1.0);
   tracker.OnApply(kObj, 1.0);  // leaves the cohort; expiry armed at 8
   sim.RunUntil(3.0);
@@ -490,7 +539,8 @@ TEST_P(LazyExpiryEquivalenceTest, MatchesPerObjectEventsBitForBit) {
   constexpr int kOps = 100000;
   const StalenessCriterion criterion = GetParam();
   sim::Simulator sim;
-  StalenessTracker lazy(&sim, criterion, kAlpha, kLow, kHigh);
+  UpdateQueue queue(1u << 20);  // never full: no evictions here
+  StalenessTracker lazy(&sim, &queue, criterion, kAlpha, kLow, kHigh);
   EventExpiryTracker reference(&sim, criterion, kAlpha, kLow, kHigh);
   sim::RandomStream random(base::RngSeed(static_cast<std::uint64_t>(
       17 + static_cast<int>(criterion))));
@@ -539,6 +589,7 @@ TEST_P(LazyExpiryEquivalenceTest, MatchesPerObjectEventsBitForBit) {
         const Update u = MakeUpdate(next_update_id++,
                                     now - random.Uniform(0, kAlpha), id);
         queued.push_back(u);
+        ASSERT_TRUE(queue.Push(u).empty());
         lazy.OnEnqueued(u);
         reference.OnEnqueued(u);
         break;
@@ -547,6 +598,7 @@ TEST_P(LazyExpiryEquivalenceTest, MatchesPerObjectEventsBitForBit) {
         if (queued.empty()) break;
         const auto victim = static_cast<std::size_t>(
             random.UniformInt(0, static_cast<int>(queued.size()) - 1));
+        ASSERT_TRUE(queue.Remove(queued[victim]));
         lazy.OnRemovedFromQueue(queued[victim]);
         reference.OnRemovedFromQueue(queued[victim]);
         queued[victim] = queued.back();
@@ -597,6 +649,192 @@ INSTANTIATE_TEST_SUITE_P(
           return "MaxAgeArrival";
       }
       return "Unknown";
+    });
+
+// ---------- UU read from the queue vs a per-object queue copy ---------------
+
+class QueueReadEquivalenceTest
+    : public ::testing::TestWithParam<StalenessCriterion> {};
+
+// The tracker reads UU from the update queue itself. Drive a real,
+// bounded queue through the operations core::System performs: pushes
+// with overflow evictions, FIFO/LIFO and per-class pops, Maximum-Age
+// purges, On-Demand peek-and-remove, and installs. The reference keeps
+// a sorted copy of each object's queued updates and hears of every
+// queue change one update at a time, while the tracker is told after
+// a whole batch has left the queue. A push into the full queue can
+// evict the pushed update itself; the reference then sees it queued
+// for an instant, and so must the tracker, or the stale-count integral
+// is split at a different instant and rounds differently. After every
+// op the two must agree to the bit.
+TEST_P(QueueReadEquivalenceTest, MatchesPerObjectQueueCopyBitForBit) {
+  constexpr double kAlpha = 2.0;
+  constexpr int kLow = 40;
+  constexpr int kHigh = 24;
+  constexpr int kOps = 100000;
+  const StalenessCriterion criterion = GetParam();
+  sim::Simulator sim;
+  UpdateQueue queue(24);
+  StalenessTracker tracker(&sim, &queue, criterion, kAlpha, kLow, kHigh);
+  EventExpiryTracker reference(&sim, criterion, kAlpha, kLow, kHigh);
+  sim::RandomStream random(base::RngSeed(static_cast<std::uint64_t>(
+      31 + static_cast<int>(criterion))));
+
+  auto object_at = [&](int k) {
+    return k < kLow ? ObjectId{ObjectClass::kLowImportance, k}
+                    : ObjectId{ObjectClass::kHighImportance, k - kLow};
+  };
+  auto random_class = [&] {
+    return random.WithProbability(0.5) ? ObjectClass::kLowImportance
+                                       : ObjectClass::kHighImportance;
+  };
+  std::vector<double> db_generation(kLow + kHigh, 0.0);
+  // Armed expiries as (instant, object); the t = 0 cohort is one entry.
+  using Armed = std::pair<double, int>;
+  std::priority_queue<Armed, std::vector<Armed>, std::greater<>> armed;
+  armed.push({kAlpha, 0});
+  auto apply = [&](ObjectId id, double generation) {
+    const int k = id.cls == ObjectClass::kLowImportance ? id.index
+                                                        : kLow + id.index;
+    if (generation <= db_generation[k]) return;  // unworthy
+    db_generation[k] = generation;
+    tracker.OnApply(id, generation);
+    reference.OnApply(id, generation, generation);
+    armed.push({generation + kAlpha, k});
+  };
+  auto left_queue = [&](const Update& u) {
+    tracker.OnRemovedFromQueue(u);
+    reference.OnRemovedFromQueue(u);
+  };
+  std::uint64_t next_update_id = 1;
+  std::uint64_t pops = 0;
+  std::uint64_t purged_total = 0;
+  double now = 0;
+
+  for (int op = 0; op < kOps; ++op) {
+    double next = now + random.Exponential(0.01);
+    const double landing = random.Uniform(0, 1);
+    if (landing < 0.15 && !armed.empty()) {
+      next = std::max(now, armed.top().first);
+    } else if (landing < 0.25) {
+      next = now;
+    }
+    // Objects whose expiry fell before this op: the tracker catches
+    // them up late, as of their own instants, inside the op's first
+    // call, after the op changed the queue. Aim half the ops at one.
+    std::vector<int> passed;
+    while (!armed.empty() && armed.top().first < next) {
+      passed.push_back(armed.top().second);
+      armed.pop();
+    }
+    now = next;
+    sim.RunUntil(now);
+
+    const ObjectId id = object_at(
+        !passed.empty() && random.WithProbability(0.5)
+            ? passed[static_cast<std::size_t>(random.UniformInt(
+                  0, static_cast<int>(passed.size()) - 1))]
+            : random.UniformInt(0, kLow + kHigh - 1));
+    switch (random.UniformInt(0, 7)) {
+      case 0:
+      case 1:  // a burst of pushes; a coarse grid makes equal times
+        for (int n = random.UniformInt(1, 6); n > 0; --n) {
+          double generation = now - random.Uniform(0, 1.5 * kAlpha);
+          if (random.WithProbability(0.3)) {
+            generation = 0.25 * static_cast<double>(
+                                    static_cast<long>(generation / 0.25));
+          }
+          const Update u = MakeUpdate(
+              next_update_id++, generation,
+              n == 1 ? id : object_at(random.UniformInt(0, kLow + kHigh - 1)));
+          const std::vector<Update> evicted = queue.Push(u);
+          tracker.OnEnqueued(u);
+          reference.OnEnqueued(u);
+          for (const Update& e : evicted) left_queue(e);
+        }
+        break;
+      case 2: {  // FIFO or LIFO service, then install
+        const std::optional<Update> u = random.WithProbability(0.5)
+                                            ? queue.PopOldest()
+                                            : queue.PopNewest();
+        if (!u.has_value()) break;
+        ++pops;
+        left_queue(*u);
+        apply(u->object, u->generation_time);
+        break;
+      }
+      case 3: {  // split-importance service, then install
+        const ObjectClass cls = random_class();
+        const std::optional<Update> u = random.WithProbability(0.5)
+                                            ? queue.PopOldestOfClass(cls)
+                                            : queue.PopNewestOfClass(cls);
+        if (!u.has_value()) break;
+        ++pops;
+        left_queue(*u);
+        apply(u->object, u->generation_time);
+        break;
+      }
+      case 4: {  // Maximum-Age purge, or a purge at a random cutoff
+        const double cutoff = random.WithProbability(0.7)
+                                  ? now - kAlpha
+                                  : now - random.Uniform(0, kAlpha);
+        const std::vector<Update> purged = queue.PurgeGeneratedBefore(cutoff);
+        purged_total += purged.size();
+        for (const Update& u : purged) left_queue(u);
+        break;
+      }
+      case 5: {  // On Demand: install the object's newest queued update
+        const std::optional<Update> u = queue.PeekNewestFor(id);
+        if (!u.has_value()) break;
+        ASSERT_TRUE(queue.Remove(*u));
+        left_queue(*u);
+        apply(id, u->generation_time);
+        break;
+      }
+      case 6:  // an install that bypassed the queue
+        apply(id, now - random.Uniform(0, 1.5 * kAlpha));
+        break;
+      default:  // read only; now and then restart the observation
+        if (random.WithProbability(0.002)) {
+          tracker.ResetObservation();
+          reference.ResetObservation();
+        }
+        break;
+    }
+
+    for (int k = 0; k < kLow + kHigh; ++k) {
+      ASSERT_EQ(tracker.IsStale(object_at(k)),
+                reference.IsStale(object_at(k)))
+          << "op " << op << " object " << k;
+    }
+    for (const ObjectClass cls :
+         {ObjectClass::kLowImportance, ObjectClass::kHighImportance}) {
+      ASSERT_EQ(tracker.StaleCount(cls), reference.StaleCount(cls))
+          << "op " << op << " t=" << now;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(tracker.FractionStaleNow(cls)),
+                std::bit_cast<std::uint64_t>(reference.FractionStaleNow(cls)))
+          << "op " << op << " t=" << now;
+      ASSERT_EQ(
+          std::bit_cast<std::uint64_t>(tracker.FractionStaleAverage(cls, now)),
+          std::bit_cast<std::uint64_t>(
+              reference.FractionStaleAverage(cls, now)))
+          << "op " << op << " t=" << now;
+    }
+  }
+  // Every kind of queue change happened many times over.
+  EXPECT_GT(queue.overflow_drops(), 1000u);
+  EXPECT_GT(pops, 1000u);
+  EXPECT_GT(purged_total, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    QueueCriteria, QueueReadEquivalenceTest,
+    ::testing::Values(StalenessCriterion::kUnappliedUpdate,
+                      StalenessCriterion::kCombined),
+    [](const ::testing::TestParamInfo<StalenessCriterion>& param) {
+      return param.param == StalenessCriterion::kUnappliedUpdate
+                 ? "UU"
+                 : "Combined";
     });
 
 }  // namespace

@@ -61,6 +61,8 @@ TEST(BenchArgsDeathTest, MalformedNumbersExitNamingTheFlag) {
               "bad value for --reps: 3x");
   EXPECT_EXIT(Parse({"--jobs=abc"}), ::testing::ExitedWithCode(2),
               "bad value for --jobs: abc");
+  EXPECT_EXIT(Parse({"--jobs=-2"}), ::testing::ExitedWithCode(2),
+              "bad value for --jobs: -2");
   EXPECT_EXIT(Parse({"--seconds=1e999"}), ::testing::ExitedWithCode(2),
               "bad value for --seconds: 1e999");
 }

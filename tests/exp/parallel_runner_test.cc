@@ -31,10 +31,13 @@ TEST(ParallelRunnerTest, DefaultOptionsUseHardwareJobs) {
   EXPECT_EQ(runner.jobs(), ParallelRunner::HardwareJobs());
 }
 
-TEST(ParallelRunnerTest, NonPositiveJobsFallBackToHardware) {
+TEST(ParallelRunnerTest, ZeroJobsFallBackToHardware) {
   EXPECT_EQ(ParallelRunner(Jobs(0)).jobs(), ParallelRunner::HardwareJobs());
-  EXPECT_EQ(ParallelRunner(Jobs(-3)).jobs(), ParallelRunner::HardwareJobs());
   EXPECT_EQ(ParallelRunner(Jobs(5)).jobs(), 5);
+}
+
+TEST(ParallelRunnerDeathTest, NegativeJobsDie) {
+  EXPECT_DEATH(ParallelRunner(Jobs(-3)), "jobs must be >= 0");
 }
 
 TEST(ParallelRunnerTest, EveryIndexRunsExactlyOnce) {

@@ -47,7 +47,11 @@ int main(int argc, char** argv) {
   }
   for (const std::string& arg : rest) {
     if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!strip::exp::ParseUint64(arg.substr(7), &seed)) {
+        std::fprintf(stderr, "strip_replay: %s\n",
+                     strip::exp::BadFlagValue(arg).c_str());
+        return 2;
+      }
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       trace_out_path = arg.substr(12);
     } else if (arg == "--quiet") {

@@ -222,7 +222,8 @@ int main(int argc, char** argv) {
         Fail(strip::exp::BadFlagValue(arg));
       }
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      if (!strip::exp::ParseInt(arg.substr(7), &parallel.jobs)) {
+      if (!strip::exp::ParseInt(arg.substr(7), &parallel.jobs) ||
+          parallel.jobs < 0) {
         Fail(strip::exp::BadFlagValue(arg));
       }
     } else if (arg.rfind("--threads=", 0) == 0) {

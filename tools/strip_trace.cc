@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/config_flags.h"
 #include "obs/trace/trace_analysis.h"
 
 namespace {
@@ -68,7 +69,9 @@ int main(int argc, char** argv) {
   double to = 1e300;
   bool decisions = false;
   bool print = false;
-  std::string critical_path;
+  bool critical_path = false;
+  bool critical_path_auto = false;
+  std::uint64_t critical_path_txn = 0;
   int shard_filter = -1;
 
   for (int i = 1; i < argc; ++i) {
@@ -78,20 +81,33 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--chrome=", 0) == 0) {
       chrome_path = arg.substr(9);
     } else if (arg.rfind("--txn=", 0) == 0) {
-      txn_filter = std::strtoull(arg.c_str() + 6, nullptr, 10);
+      if (!strip::exp::ParseUint64(arg.substr(6), &txn_filter)) {
+        Fail(strip::exp::BadFlagValue(arg));
+      }
     } else if (arg.rfind("--object=", 0) == 0) {
       object_filter = arg.substr(9);
     } else if (arg.rfind("--from=", 0) == 0) {
-      from = std::atof(arg.c_str() + 7);
+      if (!strip::exp::ParseDouble(arg.substr(7), &from)) {
+        Fail(strip::exp::BadFlagValue(arg));
+      }
     } else if (arg.rfind("--to=", 0) == 0) {
-      to = std::atof(arg.c_str() + 5);
+      if (!strip::exp::ParseDouble(arg.substr(5), &to)) {
+        Fail(strip::exp::BadFlagValue(arg));
+      }
     } else if (arg == "--decisions") {
       decisions = true;
     } else if (arg.rfind("--shard=", 0) == 0) {
-      shard_filter = std::atoi(arg.c_str() + 8);
+      if (!strip::exp::ParseInt(arg.substr(8), &shard_filter)) {
+        Fail(strip::exp::BadFlagValue(arg));
+      }
       if (shard_filter < 0) Fail("--shard needs an index >= 0");
     } else if (arg.rfind("--critical-path=", 0) == 0) {
-      critical_path = arg.substr(16);
+      critical_path = true;
+      critical_path_auto = arg.substr(16) == "auto";
+      if (!critical_path_auto &&
+          !strip::exp::ParseUint64(arg.substr(16), &critical_path_txn)) {
+        Fail(strip::exp::BadFlagValue(arg));
+      }
     } else if (arg == "--print") {
       print = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -214,16 +230,14 @@ int main(int argc, char** argv) {
                   event.reason.c_str());
     }
   }
-  if (!critical_path.empty()) {
+  if (critical_path) {
     did_command = true;
-    std::uint64_t target;
-    if (critical_path == "auto") {
+    std::uint64_t target = critical_path_txn;
+    if (critical_path_auto) {
       const std::optional<std::uint64_t> miss =
           strip::obs::trace::FirstMissedDeadlineTxn(events);
       if (!miss.has_value()) Fail("no missed-deadline transaction in trace");
       target = *miss;
-    } else {
-      target = std::strtoull(critical_path.c_str(), nullptr, 10);
     }
     const std::optional<strip::obs::trace::CriticalPath> cp =
         strip::obs::trace::ExtractCriticalPath(events, target, &error);
