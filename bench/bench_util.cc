@@ -1,10 +1,8 @@
 #include "bench_util.h"
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
-#include <string>
 
+#include "base/atomic_io.h"
 #include "exp/report.h"
 
 namespace strip::bench {
@@ -31,32 +29,6 @@ double MetricFoldHigh(const core::RunMetrics& m) { return m.f_old_high; }
 double MetricRhoT(const core::RunMetrics& m) { return m.rho_t(); }
 double MetricRhoU(const core::RunMetrics& m) { return m.rho_u(); }
 
-namespace {
-
-// Series accumulated for --json over the lifetime of the bench binary.
-// Rewritten wholesale after each Emit so an interrupted run still
-// leaves a valid document.
-std::vector<std::string>& JsonSeries() {
-  static std::vector<std::string> series;
-  return series;
-}
-
-void WriteJsonFile(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench: cannot write JSON results to " << path << "\n";
-    return;
-  }
-  out << "{\"series\": [";
-  const std::vector<std::string>& series = JsonSeries();
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    out << (i ? ",\n  " : "\n  ") << series[i];
-  }
-  out << "\n]}\n";
-}
-
-}  // namespace
-
 void Emit(const exp::BenchArgs& args, const exp::SweepSpec& spec,
           const exp::SweepResult& result, const char* metric_name,
           const exp::MetricFn& metric) {
@@ -65,10 +37,15 @@ void Emit(const exp::BenchArgs& args, const exp::SweepSpec& spec,
     exp::PrintSeriesCsv(std::cout, spec, result, metric_name, metric);
   }
   if (!args.json.empty()) {
-    std::ostringstream series;
-    exp::PrintSeriesJson(series, spec, result, metric_name, metric);
-    JsonSeries().push_back(series.str());
-    WriteJsonFile(args.json);
+    // Series accumulated over the lifetime of the bench binary. The
+    // file is rewritten atomically after each Emit, so an interrupted
+    // run still leaves a valid document.
+    static std::vector<exp::Series> series;
+    series.push_back(exp::MakeSeries(spec, result, metric_name, metric));
+    if (const auto error =
+            base::WriteFileAtomic(args.json, exp::SeriesJson(series))) {
+      std::cerr << "bench: cannot write JSON results: " << *error << "\n";
+    }
   }
 }
 

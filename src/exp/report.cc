@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <iomanip>
+#include <sstream>
 
 #include "base/check.h"
+#include "base/json_writer.h"
 
 namespace strip::exp {
 
@@ -85,44 +87,59 @@ void PrintSeriesRatio(std::ostream& out, const SweepSpec& spec,
   out << "\n";
 }
 
-void PrintSeriesJson(std::ostream& out, const SweepSpec& spec,
-                     const SweepResult& result,
-                     const std::string& metric_name, const MetricFn& metric) {
-  const auto number = [](double v) {
-    // JSON has no inf/nan; clamp to null.
-    char buffer[32];
-    if (v != v || v > 1e308 || v < -1e308) return std::string("null");
-    std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-    return std::string(buffer);
+Series MakeSeries(const SweepSpec& spec, const SweepResult& result,
+                  const std::string& metric_name, const MetricFn& metric) {
+  Series series;
+  series.metric = metric_name;
+  series.x_name = spec.x_name;
+  series.x = spec.x_values;
+  series.replications = spec.replications;
+  for (std::size_t p = 0; p < spec.policies.size(); ++p) {
+    series.policies.emplace_back(core::PolicyKindName(spec.policies[p]));
+    series.mean.emplace_back();
+    series.ci95.emplace_back();
+    for (std::size_t x = 0; x < spec.x_values.size(); ++x) {
+      series.mean[p].push_back(result.Mean(p, x, metric));
+      series.ci95[p].push_back(result.Aggregate(p, x, metric).ci95);
+    }
+  }
+  return series;
+}
+
+std::string SeriesJson(const std::vector<Series>& series) {
+  using Layout = base::JsonWriter::Layout;
+  std::ostringstream out;
+  base::JsonWriter json(out);
+  const auto numbers = [&json](const std::vector<double>& values) {
+    json.BeginArray(Layout::kInline);
+    for (const double v : values) json.Number(v);
+    json.EndArray();
   };
-  out << "{\"metric\": \"" << metric_name << "\", \"x_name\": \""
-      << spec.x_name << "\", \"x\": [";
-  for (std::size_t x = 0; x < spec.x_values.size(); ++x) {
-    out << (x ? ", " : "") << number(spec.x_values[x]);
+  const auto rows = [&](const std::vector<std::vector<double>>& table) {
+    json.BeginArray(Layout::kInline);
+    for (const std::vector<double>& row : table) numbers(row);
+    json.EndArray();
+  };
+  json.BeginObject(Layout::kInline).Key("series").BeginArray();
+  for (const Series& s : series) {
+    json.BeginObject(Layout::kInline);
+    json.Key("metric").String(s.metric);
+    json.Key("x_name").String(s.x_name);
+    json.Key("x");
+    numbers(s.x);
+    json.Key("policies").BeginArray(Layout::kInline);
+    for (const std::string& policy : s.policies) json.String(policy);
+    json.EndArray();
+    json.Key("replications").Number(s.replications);
+    json.Key("mean");
+    rows(s.mean);
+    json.Key("ci95");
+    rows(s.ci95);
+    json.EndObject();
   }
-  out << "], \"policies\": [";
-  for (std::size_t p = 0; p < spec.policies.size(); ++p) {
-    out << (p ? ", " : "") << '"' << core::PolicyKindName(spec.policies[p])
-        << '"';
-  }
-  out << "], \"replications\": " << spec.replications << ", \"mean\": [";
-  for (std::size_t p = 0; p < spec.policies.size(); ++p) {
-    out << (p ? ", [" : "[");
-    for (std::size_t x = 0; x < spec.x_values.size(); ++x) {
-      out << (x ? ", " : "") << number(result.Mean(p, x, metric));
-    }
-    out << "]";
-  }
-  out << "], \"ci95\": [";
-  for (std::size_t p = 0; p < spec.policies.size(); ++p) {
-    out << (p ? ", [" : "[");
-    for (std::size_t x = 0; x < spec.x_values.size(); ++x) {
-      out << (x ? ", " : "")
-          << number(result.Aggregate(p, x, metric).ci95);
-    }
-    out << "]";
-  }
-  out << "]}";
+  json.EndArray().EndObject();
+  out << "\n";
+  return out.str();
 }
 
 }  // namespace strip::exp

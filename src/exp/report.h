@@ -9,6 +9,7 @@
 
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "exp/experiment.h"
 
@@ -34,14 +35,28 @@ void PrintSeriesRatio(std::ostream& out, const SweepSpec& spec,
                       const SweepResult& result, const SweepResult& baseline,
                       const std::string& metric_name, const MetricFn& metric);
 
-// Prints one series as a self-contained JSON object:
-//   {"metric": ..., "x_name": ..., "x": [...], "policies": [...],
-//    "mean": [[per-policy rows]], "ci95": [[per-policy rows]]}
-// Callers compose these into a document (see bench_util's --json and
-// strip_sweep --json=PATH).
-void PrintSeriesJson(std::ostream& out, const SweepSpec& spec,
-                     const SweepResult& result,
-                     const std::string& metric_name, const MetricFn& metric);
+// One series of a figure's data: `metric` per policy of a sweep at
+// each x value, as the mean and 95% CI over the replications.
+struct Series {
+  std::string metric;
+  std::string x_name;
+  std::vector<double> x;
+  std::vector<std::string> policies;
+  int replications = 0;
+  std::vector<std::vector<double>> mean;  // [policy][x]
+  std::vector<std::vector<double>> ci95;  // [policy][x]
+};
+
+Series MakeSeries(const SweepSpec& spec, const SweepResult& result,
+                  const std::string& metric_name, const MetricFn& metric);
+
+// The document bench --json and strip_sweep --json=PATH write, one
+// inline object per series:
+//   {"series": [
+//     {"metric": ..., "x_name": ..., "x": [...], "policies": [...],
+//      "replications": N, "mean": [[per-policy rows]], "ci95": [[...]]}
+//   ]}
+std::string SeriesJson(const std::vector<Series>& series);
 
 }  // namespace strip::exp
 

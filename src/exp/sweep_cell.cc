@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "base/json_writer.h"
 #include "core/metrics_json.h"
 
 namespace strip::exp {
@@ -19,24 +20,21 @@ std::string SweepCellJson(const SweepSpec& spec, std::size_t policy_index,
                           const std::vector<core::RunMetrics>& runs,
                           bool timed_out) {
   std::ostringstream out;
-  char x_value[64];
-  std::snprintf(x_value, sizeof(x_value), "%.17g", spec.x_values[x_index]);
-  out << "{\n"
-      << "  \"schema\": \"strip.sweep-cell/v1\",\n"
-      << "  \"policy\": \""
-      << core::PolicyKindName(spec.policies[policy_index]) << "\",\n"
-      << "  \"x_name\": \"" << spec.x_name << "\",\n"
-      << "  \"x_value\": " << x_value << ",\n"
-      << "  \"x_index\": " << x_index << ",\n"
-      << "  \"replications\": " << spec.replications << ",\n"
-      << "  \"base_seed\": " << spec.base_seed << ",\n"
-      << "  \"timed_out\": " << (timed_out ? "true" : "false") << ",\n"
-      << "  \"runs\": [";
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    out << (r == 0 ? "\n    " : ",\n    ");
-    core::WriteRunMetricsJson(out, runs[r], "      ", "    ");
-  }
-  out << "\n  ]\n}\n";
+  base::JsonWriter json(out);
+  json.BeginObject();
+  json.Key("schema").String("strip.sweep-cell/v1");
+  json.Key("policy").String(core::PolicyKindName(spec.policies[policy_index]));
+  json.Key("x_name").String(spec.x_name);
+  json.Key("x_value").Number(spec.x_values[x_index]);
+  json.Key("x_index").Number(x_index);
+  json.Key("replications").Number(spec.replications);
+  json.Key("base_seed").Number(spec.base_seed);
+  json.Key("timed_out").Bool(timed_out);
+  json.Key("runs").BeginArray();
+  for (const core::RunMetrics& run : runs) core::WriteRunMetricsJson(json, run);
+  json.EndArray();
+  json.EndObject();
+  out << "\n";
   return out.str();
 }
 

@@ -120,68 +120,63 @@ std::string BenchDiffMarkdown(const BenchDiffReport& report) {
 
 std::string BenchDiffJson(const BenchDiffReport& report) {
   std::ostringstream out;
-  out << "{\n"
-      << "  \"schema\": \"strip.report.bench-diff/v1\",\n"
-      << "  \"base\": \"" << report.path_base << "\",\n"
-      << "  \"new\": \"" << report.path_new << "\",\n"
-      << "  \"build_type_base\": \"" << report.build_type_base << "\",\n"
-      << "  \"build_type_new\": \"" << report.build_type_new << "\",\n"
-      << "  \"build_mismatch\": "
-      << (report.build_mismatch ? "true" : "false") << ",\n"
-      << "  \"regressions\": " << report.regressions << ",\n"
-      << "  \"improvements\": " << report.improvements << ",\n"
-      << "  \"gate\": \"" << (report.Exceeds() ? "fail" : "pass")
-      << "\",\n";
-  out << "  \"notes\": [";
-  for (std::size_t i = 0; i < report.notes.size(); ++i) {
-    out << (i ? ", " : "") << "\"" << report.notes[i] << "\"";
+  base::JsonWriter json(out);
+  json.BeginObject();
+  json.Key("schema").String("strip.report.bench-diff/v1");
+  json.Key("base").String(report.path_base);
+  json.Key("new").String(report.path_new);
+  json.Key("build_type_base").String(report.build_type_base);
+  json.Key("build_type_new").String(report.build_type_new);
+  json.Key("build_mismatch").Bool(report.build_mismatch);
+  json.Key("regressions").Number(report.regressions);
+  json.Key("improvements").Number(report.improvements);
+  json.Key("gate").String(report.Exceeds() ? "fail" : "pass");
+  WriteStringArray(json.Key("notes"), report.notes);
+  WriteStringArray(json.Key("removed"), report.removed);
+  WriteStringArray(json.Key("added"), report.added);
+  json.Key("rows").BeginArray();
+  for (const BenchDiffRow& row : report.rows) {
+    json.BeginObject(base::JsonWriter::Layout::kInline);
+    json.Key("name").String(row.name);
+    json.Key("family").String(row.family);
+    json.Key("base_cpu_ns").Number(row.base_cpu_ns);
+    json.Key("new_cpu_ns").Number(row.new_cpu_ns);
+    json.Key("base_real_ns").Number(row.base_real_ns);
+    json.Key("new_real_ns").Number(row.new_real_ns);
+    json.Key("cpu_ratio").Number(row.cpu_ratio);
+    json.Key("tolerance").Number(row.tolerance);
+    json.Key("verdict").String(
+        row.regressed ? "regressed" : (row.improved ? "improved" : "ok"));
+    json.EndObject();
   }
-  out << "],\n  \"removed\": [";
-  for (std::size_t i = 0; i < report.removed.size(); ++i) {
-    out << (i ? ", " : "") << "\"" << report.removed[i] << "\"";
-  }
-  out << "],\n  \"added\": [";
-  for (std::size_t i = 0; i < report.added.size(); ++i) {
-    out << (i ? ", " : "") << "\"" << report.added[i] << "\"";
-  }
-  out << "],\n  \"rows\": [";
-  for (std::size_t i = 0; i < report.rows.size(); ++i) {
-    const BenchDiffRow& row = report.rows[i];
-    out << (i ? ",\n" : "\n") << "    {\"name\": \"" << row.name
-        << "\", \"family\": \"" << row.family
-        << "\", \"base_cpu_ns\": " << FormatNumber(row.base_cpu_ns)
-        << ", \"new_cpu_ns\": " << FormatNumber(row.new_cpu_ns)
-        << ", \"base_real_ns\": " << FormatNumber(row.base_real_ns)
-        << ", \"new_real_ns\": " << FormatNumber(row.new_real_ns)
-        << ", \"cpu_ratio\": " << FormatNumber(row.cpu_ratio)
-        << ", \"tolerance\": " << FormatNumber(row.tolerance)
-        << ", \"verdict\": \""
-        << (row.regressed ? "regressed"
-                          : (row.improved ? "improved" : "ok"))
-        << "\"}";
-  }
-  out << (report.rows.empty() ? "]\n" : "\n  ]\n") << "}\n";
+  json.EndArray();
+  json.EndObject();
+  out << "\n";
   return out.str();
 }
 
 std::string BenchHistorySnapshot(const BenchDoc& doc,
                                  const std::string& label) {
   std::ostringstream out;
-  out << "{\n"
-      << "  \"schema\": \"strip.bench-history/v1\",\n"
-      << "  \"label\": \"" << label << "\",\n"
-      << "  \"build_type\": \"" << doc.build_type << "\",\n"
-      << "  \"lto\": \"" << doc.lto << "\",\n"
-      << "  \"entries\": [";
-  for (std::size_t i = 0; i < doc.entries.size(); ++i) {
-    const BenchEntry& entry = doc.entries[i];
-    out << (i ? ",\n" : "\n") << "    {\"name\": \"" << entry.name
-        << "\", \"family\": \"" << entry.family
-        << "\", \"samples\": " << entry.samples
-        << ", \"real_time_ns\": " << FormatNumber(entry.real_time_ns)
-        << ", \"cpu_time_ns\": " << FormatNumber(entry.cpu_time_ns) << "}";
+  base::JsonWriter json(out);
+  json.BeginObject();
+  json.Key("schema").String("strip.bench-history/v1");
+  json.Key("label").String(label);
+  json.Key("build_type").String(doc.build_type);
+  json.Key("lto").String(doc.lto);
+  json.Key("entries").BeginArray();
+  for (const BenchEntry& entry : doc.entries) {
+    json.BeginObject(base::JsonWriter::Layout::kInline);
+    json.Key("name").String(entry.name);
+    json.Key("family").String(entry.family);
+    json.Key("samples").Number(entry.samples);
+    json.Key("real_time_ns").Number(entry.real_time_ns);
+    json.Key("cpu_time_ns").Number(entry.cpu_time_ns);
+    json.EndObject();
   }
-  out << (doc.entries.empty() ? "]\n" : "\n  ]\n") << "}\n";
+  json.EndArray();
+  json.EndObject();
+  out << "\n";
   return out.str();
 }
 

@@ -385,52 +385,45 @@ std::string DiffMarkdown(const DiffReport& report,
 }
 
 std::string DiffJson(const DiffReport& report) {
+  using Layout = base::JsonWriter::Layout;
   std::ostringstream out;
-  out << "{\n"
-      << "  \"schema\": \"strip.report.diff/v1\",\n"
-      << "  \"kind\": \"" << report.kind << "\",\n"
-      << "  \"a\": \"" << report.path_a << "\",\n"
-      << "  \"b\": \"" << report.path_b << "\",\n"
-      << "  \"threshold\": " << FormatNumber(report.threshold) << ",\n"
-      << "  \"rows_changed\": " << report.rows_changed << ",\n"
-      << "  \"rows_over_threshold\": " << report.rows_over_threshold
-      << ",\n";
-  out << "  \"notes\": [";
-  for (std::size_t i = 0; i < report.notes.size(); ++i) {
-    out << (i ? ", " : "") << "\"" << report.notes[i] << "\"";
-  }
-  out << "],\n";
-  out << "  \"over_threshold\": [";
-  for (std::size_t i = 0; i < report.over_threshold_names.size(); ++i) {
-    out << (i ? ", " : "") << "\"" << report.over_threshold_names[i]
-        << "\"";
-  }
-  out << "],\n";
-  out << "  \"sections\": [";
-  bool first_section = true;
+  base::JsonWriter json(out);
+  json.BeginObject();
+  json.Key("schema").String("strip.report.diff/v1");
+  json.Key("kind").String(report.kind);
+  json.Key("a").String(report.path_a);
+  json.Key("b").String(report.path_b);
+  json.Key("threshold").Number(report.threshold);
+  json.Key("rows_changed").Number(report.rows_changed);
+  json.Key("rows_over_threshold").Number(report.rows_over_threshold);
+  WriteStringArray(json.Key("notes"), report.notes);
+  WriteStringArray(json.Key("over_threshold"), report.over_threshold_names);
+  json.Key("sections").BeginArray();
   for (const DiffSection& section : report.sections) {
     std::vector<const DiffRow*> rows;
     for (const DiffRow& row : section.rows) {
       if (row.changed) rows.push_back(&row);
     }
     if (rows.empty()) continue;
-    out << (first_section ? "\n" : ",\n");
-    first_section = false;
-    out << "    {\n      \"title\": \"" << section.title
-        << "\",\n      \"rows\": [";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const DiffRow* row = rows[i];
-      out << (i ? ",\n" : "\n") << "        {\"name\": \"" << row->name
-          << "\", \"a\": " << FormatJsonOr(row->a)
-          << ", \"b\": " << FormatJsonOr(row->b)
-          << ", \"abs\": " << FormatNumber(row->abs_delta)
-          << ", \"rel\": " << FormatJsonOr(row->rel_delta)
-          << ", \"over_threshold\": "
-          << (row->over_threshold ? "true" : "false") << "}";
+    json.BeginObject();
+    json.Key("title").String(section.title);
+    json.Key("rows").BeginArray();
+    for (const DiffRow* row : rows) {
+      json.BeginObject(Layout::kInline);
+      json.Key("name").String(row->name);
+      json.Key("a").Number(row->a);
+      json.Key("b").Number(row->b);
+      json.Key("abs").Number(row->abs_delta);
+      json.Key("rel").Number(row->rel_delta);
+      json.Key("over_threshold").Bool(row->over_threshold);
+      json.EndObject();
     }
-    out << "\n      ]\n    }";
+    json.EndArray();
+    json.EndObject();
   }
-  out << (first_section ? "]\n" : "\n  ]\n") << "}\n";
+  json.EndArray();
+  json.EndObject();
+  out << "\n";
   return out.str();
 }
 

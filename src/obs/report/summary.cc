@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "base/json_writer.h"
 #include "obs/report/format.h"
 
 namespace strip::obs::report {
@@ -240,8 +241,9 @@ std::string SummaryCsv(const SummaryReport& report) {
     for (std::size_t x = 0; x < table.x_values.size(); ++x) {
       for (std::size_t p = 0; p < table.policies.size(); ++p) {
         out << table.metric << "," << table.policies[p] << ","
-            << table.x_name << "," << FormatNumber(table.x_values[x]) << ",";
-        if (table.cells[x][p]) out << FormatNumber(*table.cells[x][p]);
+            << table.x_name << "," << base::JsonNumber(table.x_values[x])
+            << ",";
+        if (table.cells[x][p]) out << base::JsonNumber(*table.cells[x][p]);
         out << "\n";
       }
     }
@@ -249,11 +251,11 @@ std::string SummaryCsv(const SummaryReport& report) {
   for (const ShardImbalance& group : report.imbalance) {
     for (const auto& dim : group.dimensions) {
       out << "shard_skew." << dim.name << "," << group.policy << ",group,"
-          << "0," << FormatNumber(dim.skew) << "\n";
+          << "0," << base::JsonNumber(dim.skew) << "\n";
     }
     if (group.cluster_p99) {
       out << "cluster_p99," << group.policy << ",group,0,"
-          << FormatNumber(*group.cluster_p99) << "\n";
+          << base::JsonNumber(*group.cluster_p99) << "\n";
     }
   }
   return out.str();

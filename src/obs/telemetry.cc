@@ -1,72 +1,52 @@
 #include "obs/telemetry.h"
 
-#include <cstdio>
-#include <string>
+#include <optional>
 
 #include "base/check.h"
+#include "base/json_writer.h"
 #include "core/metrics_json.h"
 
 namespace strip::obs {
 
 namespace {
 
-// JSON has no inf/nan; clamp to null. %.17g round-trips doubles
-// exactly, keeping the document bit-identical for identical runs.
-std::string Number(double v) {
-  char buffer[32];
-  if (v != v || v > 1e308 || v < -1e308) return "null";
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
+using base::JsonWriter;
 
-std::string Number(std::uint64_t v) { return std::to_string(v); }
-
-// Time values: null when the boundary never happened (< 0 sentinel).
-std::string TimeOrNull(sim::Time t) { return t < 0 ? "null" : Number(t); }
-
-void WriteHistogramJson(std::ostream& out, const char* indent,
-                        const LatencyHistogram& h) {
-  out << "{\n"
-      << indent << "  \"count\": " << Number(h.count()) << ",\n"
-      << indent << "  \"mean\": " << Number(h.mean()) << ",\n"
-      << indent << "  \"min\": " << Number(h.min_sample()) << ",\n"
-      << indent << "  \"max\": " << Number(h.max_sample()) << ",\n"
-      << indent << "  \"p50\": " << Number(h.Quantile(0.50)) << ",\n"
-      << indent << "  \"p90\": " << Number(h.Quantile(0.90)) << ",\n"
-      << indent << "  \"p99\": " << Number(h.Quantile(0.99)) << ",\n"
-      << indent << "  \"underflow\": " << Number(h.underflow()) << ",\n"
-      << indent << "  \"overflow\": " << Number(h.overflow()) << ",\n"
-      << indent << "  \"range\": [" << Number(h.min()) << ", "
-      << Number(h.max()) << "],\n"
-      << indent << "  \"buckets_per_decade\": " << h.buckets_per_decade()
-      << ",\n";
+void WriteHistogramJson(JsonWriter& json, const LatencyHistogram& h) {
+  json.BeginObject();
+  json.Key("count").Number(h.count());
+  json.Key("mean").Number(h.mean());
+  json.Key("min").Number(h.min_sample());
+  json.Key("max").Number(h.max_sample());
+  json.Key("p50").Number(h.Quantile(0.50));
+  json.Key("p90").Number(h.Quantile(0.90));
+  json.Key("p99").Number(h.Quantile(0.99));
+  json.Key("underflow").Number(h.underflow());
+  json.Key("overflow").Number(h.overflow());
+  json.Key("range").BeginArray(JsonWriter::Layout::kInline);
+  json.Number(h.min()).Number(h.max()).EndArray();
+  json.Key("buckets_per_decade").Number(h.buckets_per_decade());
   // Sparse bucket dump: [index, count] for the occupied buckets only
   // (edges are derivable from range and buckets_per_decade).
-  out << indent << "  \"buckets\": [";
-  bool first = true;
+  json.Key("buckets").BeginArray(JsonWriter::Layout::kInline);
   for (std::size_t i = 0; i < h.bucket_count(); ++i) {
     if (h.bucket_value(i) == 0) continue;
-    out << (first ? "" : ", ") << "[" << i << ", "
-        << Number(h.bucket_value(i)) << "]";
-    first = false;
+    json.BeginArray(JsonWriter::Layout::kInline);
+    json.Number(i).Number(h.bucket_value(i)).EndArray();
   }
-  out << "]\n" << indent << "}";
+  json.EndArray();
+  json.EndObject();
 }
 
 template <typename T>
-void WriteSeriesColumn(std::ostream& out, const char* name,
+void WriteSeriesColumn(JsonWriter& json, const char* name,
                        const std::vector<PeriodicSampler::Sample>& samples,
-                       T PeriodicSampler::Sample::* field, bool last = false) {
-  out << "    \"" << name << "\": [";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    out << (i ? ", " : "") << Number(samples[i].*field);
+                       T PeriodicSampler::Sample::* field) {
+  json.Key(name).BeginArray(JsonWriter::Layout::kInline);
+  for (const PeriodicSampler::Sample& sample : samples) {
+    json.Number(sample.*field);
   }
-  out << "]" << (last ? "\n" : ",\n");
-}
-
-void WriteMetricsJson(std::ostream& out, const core::RunMetrics& m) {
-  out << "  \"metrics\": ";
-  core::WriteRunMetricsJson(out, m, "    ", "  ");
+  json.EndArray();
 }
 
 }  // namespace
@@ -137,66 +117,60 @@ void RunTelemetry::OnPhase(sim::Time now, Phase phase) {
 void RunTelemetry::WriteJson(std::ostream& out,
                              const core::RunMetrics& metrics) const {
   const core::Config& config = system_->config();
-  out << "{\n";
-  out << "  \"schema\": \"" << kTelemetrySchema << "\",\n";
+  JsonWriter json(out);
+  json.BeginObject();
+  json.Key("schema").String(kTelemetrySchema);
 
-  out << "  \"run\": {\n"
-      << "    \"policy\": \"" << core::PolicyKindName(config.policy)
-      << "\",\n"
-      << "    \"staleness\": \""
-      << db::StalenessCriterionName(config.staleness) << "\",\n"
-      << "    \"seed\": " << options_.seed << ",\n"
-      << "    \"shard\": " << options_.shard << ",\n"
-      << "    \"shards\": " << options_.shards << ",\n"
-      << "    \"sim_seconds\": " << Number(config.sim_seconds) << ",\n"
-      << "    \"warmup_seconds\": " << Number(config.warmup_seconds) << ",\n"
-      << "    \"lambda_t\": " << Number(config.lambda_t) << ",\n"
-      << "    \"lambda_u\": " << Number(config.lambda_u) << ",\n"
-      << "    \"alpha\": " << Number(config.alpha) << "\n"
-      << "  },\n";
+  json.Key("run").BeginObject();
+  json.Key("policy").String(core::PolicyKindName(config.policy));
+  json.Key("staleness").String(db::StalenessCriterionName(config.staleness));
+  json.Key("seed").Number(options_.seed);
+  json.Key("shard").Number(options_.shard);
+  json.Key("shards").Number(options_.shards);
+  json.Key("sim_seconds").Number(config.sim_seconds);
+  json.Key("warmup_seconds").Number(config.warmup_seconds);
+  json.Key("lambda_t").Number(config.lambda_t);
+  json.Key("lambda_u").Number(config.lambda_u);
+  json.Key("alpha").Number(config.alpha);
+  json.EndObject();
 
-  out << "  \"phases\": {\n"
-      << "    \"warmup_end\": " << TimeOrNull(warmup_end_) << ",\n"
-      << "    \"run_end\": " << TimeOrNull(run_end_) << "\n"
-      << "  },\n";
+  // Null when the boundary never happened (< 0 sentinel).
+  const auto time_or_null = [](sim::Time t) {
+    return t < 0 ? std::nullopt : std::optional(t);
+  };
+  json.Key("phases").BeginObject();
+  json.Key("warmup_end").Number(time_or_null(warmup_end_));
+  json.Key("run_end").Number(time_or_null(run_end_));
+  json.EndObject();
 
-  const std::vector<PeriodicSampler::Sample>& samples = sampler_->samples();
-  out << "  \"series\": {\n"
-      << "    \"interval_seconds\": " << Number(options_.sample_interval)
-      << ",\n";
-  WriteSeriesColumn(out, "time", samples, &PeriodicSampler::Sample::time);
-  WriteSeriesColumn(out, "uq_depth", samples,
-                    &PeriodicSampler::Sample::uq_depth);
-  WriteSeriesColumn(out, "os_depth", samples,
-                    &PeriodicSampler::Sample::os_depth);
-  WriteSeriesColumn(out, "ready_queue", samples,
-                    &PeriodicSampler::Sample::ready_queue);
-  WriteSeriesColumn(out, "live_txns", samples,
-                    &PeriodicSampler::Sample::live_txns);
-  WriteSeriesColumn(out, "f_stale_low", samples,
-                    &PeriodicSampler::Sample::f_stale_low);
-  WriteSeriesColumn(out, "f_stale_high", samples,
-                    &PeriodicSampler::Sample::f_stale_high);
-  WriteSeriesColumn(out, "cpu_share_txn", samples,
-                    &PeriodicSampler::Sample::cpu_share_txn);
-  WriteSeriesColumn(out, "cpu_share_updater", samples,
-                    &PeriodicSampler::Sample::cpu_share_updater);
-  WriteSeriesColumn(out, "cpu_share_idle", samples,
-                    &PeriodicSampler::Sample::cpu_share_idle, /*last=*/true);
-  out << "  },\n";
+  using Sample = PeriodicSampler::Sample;
+  const std::vector<Sample>& samples = sampler_->samples();
+  json.Key("series").BeginObject();
+  json.Key("interval_seconds").Number(options_.sample_interval);
+  WriteSeriesColumn(json, "time", samples, &Sample::time);
+  WriteSeriesColumn(json, "uq_depth", samples, &Sample::uq_depth);
+  WriteSeriesColumn(json, "os_depth", samples, &Sample::os_depth);
+  WriteSeriesColumn(json, "ready_queue", samples, &Sample::ready_queue);
+  WriteSeriesColumn(json, "live_txns", samples, &Sample::live_txns);
+  WriteSeriesColumn(json, "f_stale_low", samples, &Sample::f_stale_low);
+  WriteSeriesColumn(json, "f_stale_high", samples, &Sample::f_stale_high);
+  WriteSeriesColumn(json, "cpu_share_txn", samples, &Sample::cpu_share_txn);
+  WriteSeriesColumn(json, "cpu_share_updater", samples,
+                    &Sample::cpu_share_updater);
+  WriteSeriesColumn(json, "cpu_share_idle", samples, &Sample::cpu_share_idle);
+  json.EndObject();
 
-  out << "  \"histograms\": {\n";
-  out << "    \"response_seconds\": ";
-  WriteHistogramJson(out, "    ", response_);
-  out << ",\n    \"slack_at_commit_seconds\": ";
-  WriteHistogramJson(out, "    ", slack_);
-  out << ",\n    \"update_age_at_install_seconds\": ";
-  WriteHistogramJson(out, "    ", age_);
-  out << "\n  },\n";
+  json.Key("histograms").BeginObject();
+  WriteHistogramJson(json.Key("response_seconds"), response_);
+  WriteHistogramJson(json.Key("slack_at_commit_seconds"), slack_);
+  WriteHistogramJson(json.Key("update_age_at_install_seconds"), age_);
+  json.EndObject();
 
-  out << "  \"stale_reads_seen\": " << stale_reads_seen_ << ",\n";
-  WriteMetricsJson(out, metrics);
-  out << "\n}\n";
+  json.Key("stale_reads_seen").Number(stale_reads_seen_);
+  json.Key("metrics");
+  core::WriteRunMetricsJson(json, metrics);
+  json.EndObject();
+  out << "\n";
 }
 
 }  // namespace strip::obs

@@ -25,7 +25,6 @@
 // 2 usage or I/O error.
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -35,6 +34,7 @@
 #include <vector>
 
 #include "base/atomic_io.h"
+#include "base/json_writer.h"
 #include "check/lint/rules.h"
 
 namespace {
@@ -81,67 +81,42 @@ bool HasSourceExtension(const fs::path& path) {
 // src-only rules (float-eq, wallclock-include).
 constexpr const char* kScanDirs[] = {"src", "tools", "bench", "examples"};
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string RenderJson(const std::vector<Finding>& findings,
                        const std::vector<const AllowEntry*>& dead,
                        std::size_t files_scanned,
                        std::size_t allowlisted) {
+  using Layout = strip::base::JsonWriter::Layout;
   std::ostringstream out;
-  out << "{\n";
-  out << "  \"schema\": \"strip.lint/v1\",\n";
-  out << "  \"files_scanned\": " << files_scanned << ",\n";
-  out << "  \"allowlisted\": " << allowlisted << ",\n";
-  out << "  \"findings\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"file\": \"" << JsonEscape(f.file) << "\", \"line\": "
-        << f.line << ", \"col\": " << f.col << ", \"rule\": \"" << f.rule
-        << "\", \"severity\": \"" << SeverityName(f.severity)
-        << "\", \"message\": \"" << JsonEscape(f.message)
-        << "\", \"fix_hint\": \"" << JsonEscape(f.fix_hint) << "\"}";
+  strip::base::JsonWriter json(out);
+  json.BeginObject();
+  json.Key("schema").String("strip.lint/v1");
+  json.Key("files_scanned").Number(files_scanned);
+  json.Key("allowlisted").Number(allowlisted);
+  json.Key("findings").BeginArray();
+  for (const Finding& f : findings) {
+    json.BeginObject(Layout::kInline);
+    json.Key("file").String(f.file);
+    json.Key("line").Number(f.line);
+    json.Key("col").Number(f.col);
+    json.Key("rule").String(f.rule);
+    json.Key("severity").String(SeverityName(f.severity));
+    json.Key("message").String(f.message);
+    json.Key("fix_hint").String(f.fix_hint);
+    json.EndObject();
   }
-  out << (findings.empty() ? "],\n" : "\n  ],\n");
-  out << "  \"dead_allowlist_entries\": [";
-  for (std::size_t i = 0; i < dead.size(); ++i) {
-    const AllowEntry* entry = dead[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"path\": \"" << JsonEscape(entry->path)
-        << "\", \"rule\": \"" << JsonEscape(entry->rule)
-        << "\", \"line\": " << entry->line << "}";
+  json.EndArray();
+  json.Key("dead_allowlist_entries").BeginArray();
+  for (const AllowEntry* entry : dead) {
+    json.BeginObject(Layout::kInline);
+    json.Key("path").String(entry->path);
+    json.Key("rule").String(entry->rule);
+    json.Key("line").Number(entry->line);
+    json.EndObject();
   }
-  out << (dead.empty() ? "],\n" : "\n  ],\n");
-  out << "  \"ok\": " << (findings.empty() && dead.empty() ? "true" : "false")
-      << "\n}\n";
+  json.EndArray();
+  json.Key("ok").Bool(findings.empty() && dead.empty());
+  json.EndObject();
+  out << "\n";
   return out.str();
 }
 

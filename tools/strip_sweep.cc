@@ -83,7 +83,6 @@
 #include "check/invariant_auditor.h"
 #include "core/cluster.h"
 #include "core/config.h"
-#include "core/metrics_json.h"
 #include "core/sharded_config.h"
 #include "exp/config_flags.h"
 #include "exp/experiment.h"
@@ -498,9 +497,7 @@ int main(int argc, char** argv) {
   }
 
   const strip::exp::SweepResult result = strip::exp::RunSweep(spec);
-  std::ostringstream json;
-  if (!json_path.empty()) json << "{\"series\": [";
-  bool first_series = true;
+  std::vector<strip::exp::Series> series;
   for (const std::string& metric_name : metric_names) {
     const MetricDef* found = nullptr;
     for (const MetricDef& metric : kMetrics) {
@@ -514,15 +511,12 @@ int main(int argc, char** argv) {
                                  found->fn);
     }
     if (!json_path.empty()) {
-      json << (first_series ? "\n  " : ",\n  ");
-      first_series = false;
-      strip::exp::PrintSeriesJson(json, spec, result, metric_name,
-                                  found->fn);
+      series.push_back(
+          strip::exp::MakeSeries(spec, result, metric_name, found->fn));
     }
   }
   if (!json_path.empty()) {
-    json << "\n]}\n";
-    WriteOrFail(json_path, json.str());
+    WriteOrFail(json_path, strip::exp::SeriesJson(series));
   }
   return audit_failed.load() ? 3 : 0;
 }
