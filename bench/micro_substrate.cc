@@ -141,11 +141,22 @@ void BM_DatabaseApply(benchmark::State& state) {
 }
 BENCHMARK(BM_DatabaseApply);
 
+// A database write of `object` at generation `t`, reported to the
+// tracker as core::System reports it.
+void Install(db::Database& database, db::StalenessTracker& tracker,
+             db::ObjectId object, double t) {
+  db::Update u;
+  u.object = object;
+  u.generation_time = t;
+  u.arrival_time = t;
+  if (database.Apply(u)) tracker.OnApply(u);
+}
+
 void BM_StalenessTrackerApply(benchmark::State& state) {
   sim::Simulator simulator;
-  db::StalenessTracker tracker(&simulator, nullptr,
-                               db::StalenessCriterion::kMaxAge, 7.0, 500,
-                               500);
+  db::Database database(500, 500);
+  db::StalenessTracker tracker(&simulator, &database, nullptr,
+                               db::StalenessCriterion::kMaxAge, 7.0);
   sim::RandomStream random(base::RngSeed(7));
   double t = 0;
   for (auto _ : state) {
@@ -153,9 +164,8 @@ void BM_StalenessTrackerApply(benchmark::State& state) {
     // Advance the clock so the tracker applies due expiries and pops
     // superseded heap entries, as in a real run.
     simulator.RunUntil(t);
-    tracker.OnApply({db::ObjectClass::kLowImportance,
-                     random.UniformInt(0, 499)},
-                    t);
+    Install(database, tracker,
+            {db::ObjectClass::kLowImportance, random.UniformInt(0, 499)}, t);
     benchmark::DoNotOptimize(tracker.StaleCount(
         db::ObjectClass::kLowImportance));
   }
@@ -172,21 +182,52 @@ void BM_StalenessTrackerMillionObjects(benchmark::State& state) {
   sim::RandomStream random(base::RngSeed(7));
   for (auto _ : state) {
     sim::Simulator simulator;
-    db::StalenessTracker tracker(&simulator, nullptr,
-                                 db::StalenessCriterion::kMaxAge, 7.0,
-                                 kPerClass, kPerClass);
+    db::Database database(kPerClass, kPerClass);
+    db::StalenessTracker tracker(&simulator, &database, nullptr,
+                                 db::StalenessCriterion::kMaxAge, 7.0);
     for (int step = 1; step <= kSteps; ++step) {
       const double t = step * kStep;
       simulator.RunUntil(t);
-      tracker.OnApply({db::ObjectClass::kLowImportance,
-                       random.UniformInt(0, kPerClass - 1)},
-                      t);
+      Install(database, tracker,
+              {db::ObjectClass::kLowImportance,
+               random.UniformInt(0, kPerClass - 1)},
+              t);
       benchmark::DoNotOptimize(tracker.StaleCount(
           db::ObjectClass::kLowImportance));
     }
   }
 }
 BENCHMARK(BM_StalenessTrackerMillionObjects)->Unit(benchmark::kMillisecond);
+
+// One install as core::System makes it, on a random object of an
+// n-object table: the worthiness check when the update is picked, the
+// database write and the tracker update under MA. The clock advances
+// 2.5 ms per install, so expiries fall due and the heap stays live.
+void BM_ObjectTableInstall(benchmark::State& state) {
+  const int per_class = static_cast<int>(state.range(0)) / 2;
+  constexpr double kStep = 0.0025;
+  sim::Simulator simulator;
+  db::Database database(per_class, per_class);
+  db::StalenessTracker tracker(&simulator, &database, nullptr,
+                               db::StalenessCriterion::kMaxAge, 7.0);
+  sim::RandomStream random(base::RngSeed(7));
+  double t = 0;
+  for (auto _ : state) {
+    t += kStep;
+    simulator.RunUntil(t);
+    db::Update u;
+    u.object = {random.WithProbability(0.5)
+                    ? db::ObjectClass::kLowImportance
+                    : db::ObjectClass::kHighImportance,
+                random.UniformInt(0, per_class - 1)};
+    u.generation_time = t - random.Uniform(0, 0.5);
+    u.arrival_time = t;
+    const bool written = database.IsWorthy(u) && database.Apply(u);
+    if (written) tracker.OnApply(u);
+    benchmark::DoNotOptimize(written);
+  }
+}
+BENCHMARK(BM_ObjectTableInstall)->Arg(10000)->Arg(1000000);
 
 // The Unapplied-Update bookkeeping and check: per iteration one
 // update enters the queue, the oldest leaves it (each reported to the
@@ -196,9 +237,10 @@ void BM_StalenessTrackerUuCheck(benchmark::State& state) {
   constexpr double kStep = 0.0025;
   sim::Simulator simulator;
   db::UpdateQueue queue(5600);
-  db::StalenessTracker tracker(&simulator, &queue,
+  db::Database database(500, 500);
+  db::StalenessTracker tracker(&simulator, &database, &queue,
                                db::StalenessCriterion::kUnappliedUpdate,
-                               0.0, 500, 500);
+                               0.0);
   sim::RandomStream random(base::RngSeed(7));
   std::uint64_t id = 0;
   double t = 0;

@@ -46,6 +46,27 @@ for POLICY in UF TF SU OD FCF; do
     || fail "summary differs for $POLICY"
 done
 
+echo "check_determinism: attribute table and queue/arrival criteria (audited)"
+# Partial updates write the per-attribute side table; MA+UU reads the
+# update queue and MA-arrival ages on arrival times. The default
+# criterion (MA, one attribute) above reaches neither.
+for NAME in attr4_ma_uu ma_arrival; do
+  case "$NAME" in
+    attr4_ma_uu) ARGS="--n_attributes=4 --staleness=MA+UU" ;;
+    ma_arrival) ARGS="--staleness=MA-arrival" ;;
+  esac
+  for PASS in a b; do
+    # shellcheck disable=SC2086  # ARGS is a flag list
+    "$SIM" --policy=OD --sim_seconds=60 --seed=11 --alpha=2 --uq_max=64 \
+      $ARGS --audit --telemetry="$WORK/v_${NAME}_$PASS.json" \
+      > "$WORK/vout_${NAME}_$PASS.txt"
+  done
+  cmp "$WORK/v_${NAME}_a.json" "$WORK/v_${NAME}_b.json" \
+    || fail "telemetry differs for $NAME"
+  cmp "$WORK/vout_${NAME}_a.txt" "$WORK/vout_${NAME}_b.txt" \
+    || fail "summary differs for $NAME"
+done
+
 echo "check_determinism: sharded runs (4 shards, fault-heavy, audited)"
 SHARD_FAULTS="outage@10+5:speedup=4|cpu@20+5:factor=0.5||burst@30+10:factor=3"
 for PASS in a b; do

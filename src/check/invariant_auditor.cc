@@ -474,7 +474,10 @@ void InvariantAuditor::OnUpdateInstalled(sim::Time now,
     }
     RetireUpdate(it, /*installed=*/true);
   }
-  install_arrival_[PackObject(update.object)] = update.arrival_time;
+  if (system_ != nullptr && system_->staleness().criterion() ==
+                                db::StalenessCriterion::kMaxAgeArrival) {
+    install_arrival_[PackObject(update.object)] = update.arrival_time;
+  }
   if (on_demand_by != nullptr) {
     const auto txn_it = live_txns_.find(on_demand_by->id());
     if (txn_it == live_txns_.end()) {

@@ -261,6 +261,7 @@ class InvariantAuditor : public core::SystemObserver {
   ClassCounts counts_[db::kNumObjectClasses];
 
   // --- staleness (arrival-based MA needs per-object install arrivals) --------
+  // Written only when the audited system runs that criterion.
   std::unordered_map<std::int64_t, double> install_arrival_;
 
   // --- fault windows ---------------------------------------------------------

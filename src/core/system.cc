@@ -46,8 +46,8 @@ System::System(sim::Simulator* simulator, const Config& config,
       policy_(MakePolicy(config)),
       system_random_(base::RngSeed(seed.value() ^ 0xa5a5a5a5a5a5a5a5ull)),
       database_(config.n_low, config.n_high, config.n_attributes),
-      tracker_(simulator, &update_queue_, config.staleness, config.alpha,
-               config.n_low, config.n_high),
+      tracker_(simulator, &database_, &update_queue_, config.staleness,
+               config.alpha),
       update_queue_(static_cast<std::size_t>(config.uq_max)),
       os_queue_(static_cast<std::size_t>(config.os_max)),
       // Response times are bounded by slack + execution; the paper
@@ -723,13 +723,11 @@ bool System::ShedForIncoming(const db::Update& incoming) {
 void System::InstallNow(const db::Update& update,
                         const txn::Transaction* on_demand_by) {
   if (database_.Apply(update)) {
-    // The tracker follows the *effective* generation — identical to
-    // the update's own timestamp for complete updates, the oldest
-    // attribute's for partial ones. The arrival time feeds the
-    // arrival-based MA variant.
-    tracker_.OnApply(update.object,
-                     database_.generation_time(update.object),
-                     update.arrival_time);
+    // The tracker follows the *effective* generation the database
+    // just wrote — identical to the update's own timestamp for
+    // complete updates, the oldest attribute's for partial ones. The
+    // arrival time feeds the arrival-based MA variant.
+    tracker_.OnApply(update);
     if (history_ != nullptr) {
       history_->Record(update.object,
                        database_.generation_time(update.object),

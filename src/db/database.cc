@@ -6,27 +6,34 @@
 
 namespace strip::db {
 
+namespace {
+
+int CheckedTotal(int n_low, int n_high, int n_attributes) {
+  STRIP_CHECK_MSG(n_low >= 0 && n_high >= 0, "negative partition size");
+  STRIP_CHECK_MSG(n_attributes >= 1, "need at least one attribute");
+  return n_low + n_high;
+}
+
+}  // namespace
+
 const char* ObjectClassName(ObjectClass cls) {
   return cls == ObjectClass::kLowImportance ? "low" : "high";
 }
 
 Database::Database(int n_low, int n_high, int n_attributes)
-    : n_attributes_(n_attributes), low_(n_low), high_(n_high) {
-  STRIP_CHECK_MSG(n_low >= 0 && n_high >= 0, "negative partition size");
-  STRIP_CHECK_MSG(n_attributes >= 1, "need at least one attribute");
+    : n_attributes_(n_attributes),
+      n_low_(n_low),
+      records_(CheckedTotal(n_low, n_high, n_attributes)) {
   if (n_attributes_ > 1) {
-    for (auto* partition : {&low_, &high_}) {
-      for (Slot& slot : *partition) {
-        slot.attribute_generations.assign(n_attributes_, 0.0);
-      }
-    }
+    attribute_generations_.assign(records_.size() * n_attributes_, 0.0);
   }
 }
 
-int Database::CheckedIndex(ObjectId id) const {
+int Database::Index(ObjectId id) const {
   STRIP_CHECK_MSG(id.index >= 0 && id.index < size(id.cls),
                   "object index out of range");
-  return id.index;
+  return id.cls == ObjectClass::kLowImportance ? id.index
+                                               : n_low_ + id.index;
 }
 
 int Database::CheckedAttribute(const Update& update) const {
@@ -36,48 +43,50 @@ int Database::CheckedAttribute(const Update& update) const {
 }
 
 sim::Time Database::attribute_generation(ObjectId id, int attribute) const {
-  const Slot& slot = partition(id.cls)[CheckedIndex(id)];
+  const int index = Index(id);
   if (n_attributes_ == 1) {
     STRIP_CHECK_MSG(attribute == 0, "attribute index out of range");
-    return slot.generation_time;
+    return records_[index].generation_time;
   }
   STRIP_CHECK_MSG(attribute >= 0 && attribute < n_attributes_,
                   "attribute index out of range");
-  return slot.attribute_generations[attribute];
+  return attributes(index)[attribute];
 }
 
 bool Database::IsWorthy(const Update& update) const {
-  const Slot& slot = partition(update.object.cls)[CheckedIndex(update.object)];
+  return IsWorthyAt(Index(update.object), update);
+}
+
+bool Database::IsWorthyAt(int index, const Update& update) const {
   if (n_attributes_ == 1 || update.attribute < 0) {
     // Complete update: worthy if newer than the effective generation.
-    return update.generation_time > slot.generation_time;
+    return update.generation_time > records_[index].generation_time;
   }
   return update.generation_time >
-         slot.attribute_generations[CheckedAttribute(update)];
+         attributes(index)[CheckedAttribute(update)];
 }
 
 bool Database::Apply(const Update& update) {
-  Slot& slot = partition(update.object.cls)[CheckedIndex(update.object)];
-  if (!IsWorthy(update)) {
+  const int index = Index(update.object);
+  if (!IsWorthyAt(index, update)) {
     ++skipped_writes_;
     return false;
   }
+  ObjectRecord& record = records_[index];
   if (n_attributes_ == 1 || update.attribute < 0) {
     // Complete update: every attribute refreshed at once.
-    slot.generation_time = update.generation_time;
+    record.generation_time = update.generation_time;
     if (n_attributes_ > 1) {
-      std::fill(slot.attribute_generations.begin(),
-                slot.attribute_generations.end(), update.generation_time);
+      std::fill_n(attributes(index), n_attributes_, update.generation_time);
     }
   } else {
-    slot.attribute_generations[CheckedAttribute(update)] =
-        update.generation_time;
+    sim::Time* generations = attributes(index);
+    generations[CheckedAttribute(update)] = update.generation_time;
     // The object is only as fresh as its oldest attribute.
-    slot.generation_time =
-        *std::min_element(slot.attribute_generations.begin(),
-                          slot.attribute_generations.end());
+    record.generation_time =
+        *std::min_element(generations, generations + n_attributes_);
   }
-  slot.value = update.value;
+  record.value = update.value;
   ++writes_;
   return true;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <utility>
 
 #include "base/check.h"
 
@@ -28,17 +29,19 @@ bool DetectableByTimestamp(StalenessCriterion criterion) {
 }
 
 StalenessTracker::StalenessTracker(sim::Simulator* simulator,
+                                   Database* database,
                                    const UpdateQueue* queue,
                                    StalenessCriterion criterion,
-                                   sim::Duration max_age, int n_low,
-                                   int n_high)
+                                   sim::Duration max_age)
     : simulator_(simulator),
+      database_(database),
       queue_(queue),
       criterion_(criterion),
-      max_age_(max_age),
-      low_(n_low),
-      high_(n_high) {
+      max_age_(max_age) {
   STRIP_CHECK(simulator != nullptr);
+  STRIP_CHECK(database != nullptr);
+  STRIP_CHECK_MSG(database->writes() == 0,
+                  "the tracker starts with an unwritten database");
   if (ReadsQueue()) {
     STRIP_CHECK_MSG(queue != nullptr,
                     "the unapplied-update criterion reads an update queue");
@@ -57,36 +60,23 @@ StalenessTracker::StalenessTracker(sim::Simulator* simulator,
   }
 }
 
-StalenessTracker::ObjectState& StalenessTracker::state(ObjectId id) {
-  auto& partition = id.cls == ObjectClass::kLowImportance ? low_ : high_;
-  STRIP_CHECK_MSG(
-      id.index >= 0 && id.index < static_cast<int>(partition.size()),
-      "object index out of range");
-  return partition[id.index];
-}
-
-const StalenessTracker::ObjectState& StalenessTracker::state(
-    ObjectId id) const {
-  return const_cast<StalenessTracker*>(this)->state(id);
-}
-
-bool StalenessTracker::QueueSaysStale(ObjectId id, const ObjectState& s,
+bool StalenessTracker::QueueSaysStale(ObjectId id, const ObjectRecord& r,
                                       const Update* entering) const {
-  if (entering != nullptr && entering->generation_time > s.db_generation) {
+  if (entering != nullptr && entering->generation_time > r.generation_time) {
     return true;
   }
   const std::optional<Update> newest = queue_->PeekNewestFor(id);
-  return newest.has_value() && newest->generation_time > s.db_generation;
+  return newest.has_value() && newest->generation_time > r.generation_time;
 }
 
-bool StalenessTracker::ComputeStale(const ObjectState& s, sim::Time t,
+bool StalenessTracker::ComputeStale(const ObjectRecord& r, sim::Time t,
                                     bool uu_stale) const {
   // >= so the flag flips exactly at freshness + max_age (the boundary
   // itself has measure zero). Evaluated at t = freshness + max_age,
   // t - freshness can round below max_age (for about 1% of freshness
   // values near 10^3 s, more at smaller ones), and the expiry then
   // leaves the flag fresh until the object's next Refresh.
-  const bool ma_stale = t - s.freshness >= max_age_;
+  const bool ma_stale = t - r.freshness >= max_age_;
   switch (criterion_) {
     case StalenessCriterion::kMaxAge:
     case StalenessCriterion::kMaxAgeArrival:
@@ -99,46 +89,48 @@ bool StalenessTracker::ComputeStale(const ObjectState& s, sim::Time t,
   return false;
 }
 
-void StalenessTracker::Refresh(ObjectId id, sim::Time t,
+void StalenessTracker::Refresh(ObjectId id, ObjectRecord& r, sim::Time t,
                                const Update* entering) {
-  if (ReadsQueue()) {
-    ObjectState& s = state(id);
-    s.uu_stale = QueueSaysStale(id, s, entering);
-  }
-  Reevaluate(id, t);
+  if (ReadsQueue()) r.uu_stale = QueueSaysStale(id, r, entering);
+  Reevaluate(r, id.cls, t);
 }
 
-void StalenessTracker::Reevaluate(ObjectId id, sim::Time t) {
-  ObjectState& s = state(id);
-  const bool now_stale = ComputeStale(s, t, s.uu_stale);
-  if (now_stale == s.stale) return;
-  s.stale = now_stale;
-  sim::TimeWeighted& signal = stale_fraction_[static_cast<int>(id.cls)];
+void StalenessTracker::Reevaluate(ObjectRecord& r, ObjectClass cls,
+                                  sim::Time t) {
+  const bool now_stale = ComputeStale(r, t, r.uu_stale);
+  if (now_stale == r.stale) return;
+  r.stale = now_stale;
+  sim::TimeWeighted& signal = stale_fraction_[static_cast<int>(cls)];
   signal.Set(t, signal.value() + (now_stale ? 1.0 : -1.0));
 }
 
-void StalenessTracker::ScheduleExpiry(ObjectId id,
+void StalenessTracker::ScheduleExpiry(ObjectId id, ObjectRecord& r,
                                       sim::Time previous_expiry) {
-  ObjectState& s = state(id);
-  s.initial = false;
-  const sim::Time expiry_time = s.freshness + max_age_;
+  r.initial = false;
+  const sim::Time expiry_time = r.freshness + max_age_;
   if (expiry_time <= simulator_->now()) {
     // Already older than alpha: stale at once. Drop any live entry, as
     // it may lie beyond the expiry of the next apply.
-    s.expiry_seq = 0;
-    Refresh(id, simulator_->now());
+    r.expiry_seq = 0;
+    Refresh(id, r, simulator_->now());
     return;
   }
   // A live entry is never later than the expiry it was pushed for, so
   // when the expiry only moved later it can stay and re-arm on pop.
-  if (s.expiry_seq != 0 && expiry_time >= previous_expiry) return;
-  PushExpiry(id, expiry_time);
+  if (r.expiry_seq != 0 && expiry_time >= previous_expiry) return;
+  PushExpiry(id, r, expiry_time);
 }
 
-void StalenessTracker::PushExpiry(ObjectId id, sim::Time expiry_time) {
-  ObjectState& s = state(id);
-  s.expiry_seq = next_expiry_seq_++;
-  expiries_.push_back({expiry_time, s.expiry_seq, id});
+void StalenessTracker::PushExpiry(ObjectId id, ObjectRecord& r,
+                                  sim::Time expiry_time) {
+  // The record keeps the low 32 bits, and 0 there means "no entry".
+  // Two entries of one object alias only 2^32 pushes apart, and even
+  // then an aliased older entry that pops first either re-arms the
+  // object at its true expiry or falls due at that same instant.
+  if (static_cast<std::uint32_t>(next_expiry_seq_) == 0) ++next_expiry_seq_;
+  const std::uint64_t seq = next_expiry_seq_++;
+  r.expiry_seq = static_cast<std::uint32_t>(seq);
+  expiries_.push_back({expiry_time, seq, id});
   std::push_heap(expiries_.begin(), expiries_.end(), std::greater<>());
 }
 
@@ -159,25 +151,25 @@ void StalenessTracker::ApplyDueExpiries() {
       cohort_pending_ = false;
       for (int c = 0; c < kNumObjectClasses; ++c) {
         const auto cls = static_cast<ObjectClass>(c);
-        const auto& objects =
-            cls == ObjectClass::kLowImportance ? low_ : high_;
-        for (int i = 0; i < static_cast<int>(objects.size()); ++i) {
-          if (objects[i].initial) Reevaluate({cls, i}, cohort_time_);
+        for (ObjectRecord& r : database_->partition(cls)) {
+          if (r.initial) Reevaluate(r, cls, cohort_time_);
         }
       }
     } else if (heap_due) {
       std::pop_heap(expiries_.begin(), expiries_.end(), std::greater<>());
       const Expiry due = expiries_.back();
       expiries_.pop_back();
-      ObjectState& s = state(due.id);
-      if (s.expiry_seq != due.seq) continue;  // superseded
-      const sim::Time expiry_time = s.freshness + max_age_;
+      ObjectRecord& r = database_->record(due.id);
+      if (r.expiry_seq != static_cast<std::uint32_t>(due.seq)) {
+        continue;  // superseded
+      }
+      const sim::Time expiry_time = r.freshness + max_age_;
       if (due.time < expiry_time) {  // re-applied since it was pushed
-        PushExpiry(due.id, expiry_time);
+        PushExpiry(due.id, r, expiry_time);
         continue;
       }
-      s.expiry_seq = 0;
-      Reevaluate(due.id, due.time);
+      r.expiry_seq = 0;
+      Reevaluate(r, due.id.cls, due.time);
     } else {
       return;
     }
@@ -192,21 +184,17 @@ void StalenessTracker::ResetObservation() {
   }
 }
 
-void StalenessTracker::OnApply(ObjectId id, sim::Time generation_time,
-                               sim::Time arrival_time) {
+void StalenessTracker::OnApply(const Update& update) {
   CatchUp();
-  ObjectState& s = state(id);
-  STRIP_CHECK_MSG(generation_time >= s.db_generation,
-                  "database generation moved backwards");
-  s.db_generation = generation_time;
-  const sim::Time previous_expiry = s.freshness + max_age_;
-  s.freshness = criterion_ == StalenessCriterion::kMaxAgeArrival
-                    ? arrival_time
-                    : generation_time;
+  ObjectRecord& r = database_->record(update.object);
+  const sim::Time previous_expiry = r.freshness + max_age_;
+  r.freshness = criterion_ == StalenessCriterion::kMaxAgeArrival
+                    ? update.arrival_time
+                    : r.generation_time;
   if (UsesMaxAge()) {
-    ScheduleExpiry(id, previous_expiry);
+    ScheduleExpiry(update.object, r, previous_expiry);
   }
-  Refresh(id, simulator_->now());
+  Refresh(update.object, r, simulator_->now());
 }
 
 // Under MA the queue does not matter, but the re-evaluation at now
@@ -214,18 +202,20 @@ void StalenessTracker::OnApply(ObjectId id, sim::Time generation_time,
 // freshness + max_age rounded below alpha (see ComputeStale).
 void StalenessTracker::OnEnqueued(const Update& update) {
   CatchUp();
-  Refresh(update.object, simulator_->now(), &update);
+  Refresh(update.object, database_->record(update.object), simulator_->now(),
+          &update);
 }
 
 void StalenessTracker::OnRemovedFromQueue(const Update& update) {
   CatchUp();
-  Refresh(update.object, simulator_->now());
+  Refresh(update.object, database_->record(update.object),
+          simulator_->now());
 }
 
 bool StalenessTracker::IsStale(ObjectId id) const {
-  const ObjectState& s = state(id);
-  return ComputeStale(s, simulator_->now(),
-                      ReadsQueue() && QueueSaysStale(id, s, nullptr));
+  const ObjectRecord& r = std::as_const(*database_).record(id);
+  return ComputeStale(r, simulator_->now(),
+                      ReadsQueue() && QueueSaysStale(id, r, nullptr));
 }
 
 int StalenessTracker::StaleCount(ObjectClass cls) const {
@@ -235,19 +225,19 @@ int StalenessTracker::StaleCount(ObjectClass cls) const {
 
 double StalenessTracker::FractionStaleNow(ObjectClass cls) const {
   CatchUp();
-  const auto& partition = cls == ObjectClass::kLowImportance ? low_ : high_;
-  if (partition.empty()) return 0.0;
+  const int size = database_->size(cls);
+  if (size == 0) return 0.0;
   return stale_fraction_[static_cast<int>(cls)].value() /
-         static_cast<double>(partition.size());
+         static_cast<double>(size);
 }
 
 double StalenessTracker::FractionStaleAverage(ObjectClass cls,
                                               sim::Time end) const {
   CatchUp();
-  const auto& partition = cls == ObjectClass::kLowImportance ? low_ : high_;
-  if (partition.empty()) return 0.0;
+  const int size = database_->size(cls);
+  if (size == 0) return 0.0;
   return stale_fraction_[static_cast<int>(cls)].Average(end) /
-         static_cast<double>(partition.size());
+         static_cast<double>(size);
 }
 
 }  // namespace strip::db

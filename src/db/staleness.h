@@ -19,6 +19,12 @@
 // and a time-weighted stale count, so the staleness fraction f_old of
 // Section 3.5 is an exact integral rather than a sampled estimate.
 //
+// The tracker is built over the Database and keeps no per-object
+// array of its own: its per-object state (the MA freshness, the live
+// expiry entry's sequence, the stale, UU and t = 0 cohort flags) lives
+// in the database's object record next to the generation it is
+// derived from (db/database.h).
+//
 // UU is read from the controller's UpdateQueue itself: an object is
 // UU-stale when the queue's newest update for it (PeekNewestFor, one
 // indexed load) is newer than the database value. The tracker keeps
@@ -50,6 +56,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "db/database.h"
 #include "db/object.h"
 #include "db/update.h"
 #include "db/update_queue.h"
@@ -79,15 +86,16 @@ bool DetectableByTimestamp(StalenessCriterion criterion);
 
 class StalenessTracker {
  public:
-  // `max_age` is alpha; it is ignored under kUnappliedUpdate. All
-  // objects start fresh with generation time 0 (matching Database's
-  // initial state). The tracker reads the clock of `simulator`, which
-  // must outlive it, and schedules no events on it. Under UU and MA+UU
-  // it reads `queue`, which must outlive it; the MA family reads no
-  // queue and `queue` may be null.
-  StalenessTracker(sim::Simulator* simulator, const UpdateQueue* queue,
-                   StalenessCriterion criterion, sim::Duration max_age,
-                   int n_low, int n_high);
+  // `max_age` is alpha; it is ignored under kUnappliedUpdate. The
+  // tracker tracks the objects of `database`, which must outlive it
+  // and must not have been written yet: all objects start fresh with
+  // generation time 0. It reads the clock of `simulator`, which must
+  // outlive it, and schedules no events on it. Under UU and MA+UU it
+  // reads `queue`, which must outlive it; the MA family reads no queue
+  // and `queue` may be null.
+  StalenessTracker(sim::Simulator* simulator, Database* database,
+                   const UpdateQueue* queue, StalenessCriterion criterion,
+                   sim::Duration max_age);
 
   StalenessTracker(const StalenessTracker&) = delete;
   StalenessTracker& operator=(const StalenessTracker&) = delete;
@@ -97,15 +105,10 @@ class StalenessTracker {
   // warm-up period.
   void ResetObservation();
 
-  // The database wrote `id` with generation time `generation_time`;
-  // the installed update arrived at `arrival_time` (used by the
-  // arrival-based MA criterion). The two-argument form treats the
-  // value as arriving the moment it was generated.
-  void OnApply(ObjectId id, sim::Time generation_time,
-               sim::Time arrival_time);
-  void OnApply(ObjectId id, sim::Time generation_time) {
-    OnApply(id, generation_time, generation_time);
-  }
+  // The database just wrote `update` (Database::Apply returned true).
+  // The object's new effective generation is read from the database;
+  // the update's arrival time feeds the arrival-based MA criterion.
+  void OnApply(const Update& update);
 
   // `update` entered the controller's update queue. Call after the
   // queue has changed: the flag is re-evaluated against it, with
@@ -134,25 +137,9 @@ class StalenessTracker {
   sim::Duration max_age() const { return max_age_; }
 
  private:
-  struct ObjectState {
-    sim::Time db_generation = 0;
-    // The timestamp MA-style aging runs on: the generation time, or
-    // the arrival time under kMaxAgeArrival.
-    sim::Time freshness = 0;
-    // Sequence of this object's live expiry-heap entry; 0 if none.
-    std::uint64_t expiry_seq = 0;
-    // Still in the t = 0 cohort: never applied since construction.
-    bool initial = true;
-    bool stale = false;
-    // The UU verdict as of the object's last Refresh. Every queue
-    // change refreshes its object, so this is what the queue said
-    // until the change being reported; expiries caught up late are
-    // evaluated with it, as of their own earlier instants.
-    bool uu_stale = false;
-  };
-
   // One pending MA expiry. An entry whose `seq` no longer matches the
-  // object's `expiry_seq` was superseded and is skipped.
+  // object's `expiry_seq` (its low 32 bits) was superseded and is
+  // skipped. The full sequence orders entries of the same instant.
   struct Expiry {
     sim::Time time;
     std::uint64_t seq;
@@ -164,34 +151,34 @@ class StalenessTracker {
     }
   };
 
-  ObjectState& state(ObjectId id);
-  const ObjectState& state(ObjectId id) const;
-
   // The UU verdict read from the queue: does it hold an update for
-  // `id` newer than the database value? `entering` (if not null)
-  // counts as queued too: OnEnqueued reports an update that a full
-  // queue may already have evicted again, and the verdict must see it
-  // queued until that eviction is reported.
-  bool QueueSaysStale(ObjectId id, const ObjectState& s,
+  // `id` (whose record is `r`) newer than the database value?
+  // `entering` (if not null) counts as queued too: OnEnqueued reports
+  // an update that a full queue may already have evicted again, and
+  // the verdict must see it queued until that eviction is reported.
+  bool QueueSaysStale(ObjectId id, const ObjectRecord& r,
                       const Update* entering) const;
 
   // The flag under this criterion at `t`, given the UU verdict.
-  bool ComputeStale(const ObjectState& s, sim::Time t, bool uu_stale) const;
+  bool ComputeStale(const ObjectRecord& r, sim::Time t, bool uu_stale) const;
 
   // Re-reads the object's UU verdict from the queue (UU and MA+UU
   // only), then re-evaluates its flag as of `t`.
-  void Refresh(ObjectId id, sim::Time t, const Update* entering = nullptr);
+  void Refresh(ObjectId id, ObjectRecord& r, sim::Time t,
+               const Update* entering = nullptr);
 
   // Re-evaluates one object's flag as of `t` with its stored UU
-  // verdict and folds any change into the stale-count signal at `t`.
-  void Reevaluate(ObjectId id, sim::Time t);
+  // verdict and folds any change into its class's stale-count signal
+  // at `t`.
+  void Reevaluate(ObjectRecord& r, ObjectClass cls, sim::Time t);
 
   // Arms the MA expiry of an object whose freshness an apply just
   // moved; `previous_expiry` is its expiry before the apply.
-  void ScheduleExpiry(ObjectId id, sim::Time previous_expiry);
+  void ScheduleExpiry(ObjectId id, ObjectRecord& r,
+                      sim::Time previous_expiry);
 
   // Pushes the object's live heap entry, superseding any other.
-  void PushExpiry(ObjectId id, sim::Time expiry_time);
+  void PushExpiry(ObjectId id, ObjectRecord& r, sim::Time expiry_time);
 
   // Applies every expiry due at or before now. Readers call it too:
   // it only materializes expiries that have already happened.
@@ -207,11 +194,10 @@ class StalenessTracker {
   }
 
   sim::Simulator* simulator_;
+  Database* database_;
   const UpdateQueue* queue_;
   StalenessCriterion criterion_;
   sim::Duration max_age_;
-  std::vector<ObjectState> low_;
-  std::vector<ObjectState> high_;
   // Min-heap on (time, seq) of pending expiries.
   std::vector<Expiry> expiries_;
   std::uint64_t next_expiry_seq_ = 1;

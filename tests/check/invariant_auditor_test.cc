@@ -447,6 +447,26 @@ TEST(AuditorRealRunTest, EveryStalenessCriterionRunsClean) {
   }
 }
 
+// With partial updates the generation the tracker ages is the oldest
+// attribute's, read from the shared object record; the auditor
+// re-derives it from Database::generation_time and the queue.
+TEST(AuditorRealRunTest, PartialUpdateRunsClean) {
+  for (db::StalenessCriterion criterion :
+       {db::StalenessCriterion::kMaxAge, db::StalenessCriterion::kCombined}) {
+    SCOPED_TRACE(db::StalenessCriterionName(criterion));
+    core::Config config;
+    config.policy = core::PolicyKind::kOnDemand;
+    config.staleness = criterion;
+    config.n_attributes = 4;
+    config.sim_seconds = 30.0;
+    config.alpha = 0.5;
+    InvariantAuditor auditor;
+    const core::RunMetrics metrics = RunAudited(config, 7, auditor);
+    EXPECT_TRUE(auditor.ok()) << auditor.Report();
+    EXPECT_GT(metrics.updates_installed, 0u);
+  }
+}
+
 TEST(AuditorRealRunTest, FaultHeavyRunStaysClean) {
   core::Config config;
   config.policy = core::PolicyKind::kOnDemand;

@@ -16,6 +16,10 @@ Update MakeUpdate(ObjectId object, sim::Time generation, double value = 1.0) {
   return u;
 }
 
+// The object table is one 32-byte record per object, whatever the
+// number of attributes.
+static_assert(sizeof(ObjectRecord) <= 32);
+
 TEST(DatabaseTest, SizesMatchConstruction) {
   Database db(500, 300);
   EXPECT_EQ(db.size(ObjectClass::kLowImportance), 500);
@@ -156,6 +160,59 @@ TEST(PartialUpdateTest, EffectiveGenerationIsMonotone) {
     EXPECT_GE(db.generation_time(id), last);
     last = db.generation_time(id);
   }
+}
+
+// The attribute side table is one flat n × n_attributes array with
+// the low partition first: the last attribute of each partition's last
+// object is a row boundary that a wrong stride or offset would cross.
+TEST(PartialUpdateTest, SideTableRowsOfLastObjectsAreTheirOwn) {
+  constexpr int kAttributes = 4;
+  Database db(5, 3, kAttributes);
+  const ObjectId last_low{ObjectClass::kLowImportance, 4};
+  const ObjectId last_high{ObjectClass::kHighImportance, 2};
+  const ObjectId first_high{ObjectClass::kHighImportance, 0};
+  ASSERT_TRUE(db.Apply(MakePartial(last_low, kAttributes - 1, 3.0, 7.0)));
+  ASSERT_TRUE(db.Apply(MakePartial(last_high, kAttributes - 1, 4.0, 8.0)));
+  EXPECT_DOUBLE_EQ(db.attribute_generation(last_low, kAttributes - 1), 3.0);
+  EXPECT_DOUBLE_EQ(db.attribute_generation(last_high, kAttributes - 1), 4.0);
+  EXPECT_DOUBLE_EQ(db.value(last_low), 7.0);
+  EXPECT_DOUBLE_EQ(db.value(last_high), 8.0);
+  // Neighbouring rows and the untouched attributes stay at 0.
+  for (int a = 0; a < kAttributes; ++a) {
+    EXPECT_DOUBLE_EQ(db.attribute_generation(first_high, a), 0.0);
+    EXPECT_DOUBLE_EQ(
+        db.attribute_generation({ObjectClass::kLowImportance, 3}, a), 0.0);
+    EXPECT_DOUBLE_EQ(
+        db.attribute_generation({ObjectClass::kHighImportance, 1}, a), 0.0);
+  }
+  for (int a = 0; a < kAttributes - 1; ++a) {
+    EXPECT_DOUBLE_EQ(db.attribute_generation(last_low, a), 0.0);
+    EXPECT_DOUBLE_EQ(db.attribute_generation(last_high, a), 0.0);
+  }
+  // A partial update leaves the effective generation at the oldest.
+  EXPECT_DOUBLE_EQ(db.generation_time(last_low), 0.0);
+  EXPECT_DOUBLE_EQ(db.generation_time(last_high), 0.0);
+
+  // Complete updates fill exactly their own row.
+  ASSERT_TRUE(db.Apply(MakeUpdate(last_low, 5.0)));
+  ASSERT_TRUE(db.Apply(MakeUpdate(last_high, 6.0)));
+  for (int a = 0; a < kAttributes; ++a) {
+    EXPECT_DOUBLE_EQ(db.attribute_generation(last_low, a), 5.0);
+    EXPECT_DOUBLE_EQ(db.attribute_generation(last_high, a), 6.0);
+    EXPECT_DOUBLE_EQ(db.attribute_generation(first_high, a), 0.0);
+  }
+  EXPECT_DOUBLE_EQ(db.generation_time(last_low), 5.0);
+  EXPECT_DOUBLE_EQ(db.generation_time(last_high), 6.0);
+  EXPECT_DOUBLE_EQ(db.generation_time(first_high), 0.0);
+
+  // Then a partial update to the last attribute moves only its entry.
+  ASSERT_TRUE(db.Apply(MakePartial(last_high, kAttributes - 1, 9.0)));
+  EXPECT_DOUBLE_EQ(db.attribute_generation(last_high, kAttributes - 1), 9.0);
+  EXPECT_DOUBLE_EQ(db.attribute_generation(last_high, 0), 6.0);
+  EXPECT_DOUBLE_EQ(db.generation_time(last_high), 6.0);
+  EXPECT_FALSE(db.IsWorthy(MakePartial(last_high, kAttributes - 1, 9.0)));
+  EXPECT_TRUE(db.IsWorthy(MakePartial(last_high, 0, 9.0)));
+  EXPECT_EQ(db.writes(), 5u);
 }
 
 TEST(PartialUpdateDeathTest, AttributeOutOfRangeDies) {

@@ -69,16 +69,21 @@ TEST(DerivedRegistryTest, EffectiveGenerationIsOldestInput) {
 
 TEST(DerivedRegistryTest, StaleIfAnyInputStale) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
-                           4, 4);
+  Database database(4, 4);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAge, 7.0);
   DerivedRegistry registry;
   const int id = registry.Define(Portfolio(Aggregation::kAverage));
   EXPECT_FALSE(registry.IsStale(id, tracker));
 
   // Refresh inputs 0 and 2 but let input 1 expire.
   sim.RunUntil(6.0);
-  tracker.OnApply({ObjectClass::kHighImportance, 0}, 6.0);
-  tracker.OnApply({ObjectClass::kHighImportance, 2}, 6.0);
+  for (const int input : {0, 2}) {
+    const Update u =
+        MakeUpdate(input + 1, {ObjectClass::kHighImportance, input}, 6.0, 1);
+    ASSERT_TRUE(database.Apply(u));
+    tracker.OnApply(u);
+  }
   sim.RunUntil(8.0);  // input 1's initial value (gen 0) is now stale
   EXPECT_TRUE(registry.IsStale(id, tracker));
   const auto stale = registry.StaleInputs(id, tracker);
@@ -107,8 +112,9 @@ TEST(DerivedRegistryTest, FresheningUpdatesAnswersTheOdQuestion) {
 TEST(DerivedRegistryTest, UuStalenessPropagates) {
   sim::Simulator sim;
   UpdateQueue queue(16);
-  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
-                           0.0, 4, 4);
+  Database database(4, 4);
+  StalenessTracker tracker(&sim, &database, &queue,
+                           StalenessCriterion::kUnappliedUpdate, 0.0);
   DerivedRegistry registry;
   const int id = registry.Define(Portfolio(Aggregation::kAverage));
   EXPECT_FALSE(registry.IsStale(id, tracker));

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "db/database.h"
 #include "db/update_queue.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -44,6 +45,21 @@ void Dequeue(UpdateQueue* queue, StalenessTracker* tracker, const Update& u) {
   tracker->OnRemovedFromQueue(u);
 }
 
+// An install as core::System makes it: the database first, then the
+// tracker, which reads the generation the database wrote.
+void Install(Database* database, StalenessTracker* tracker, ObjectId id,
+             sim::Time generation, sim::Time arrival) {
+  Update u = MakeUpdate(0, generation, id);
+  u.arrival_time = arrival;
+  ASSERT_TRUE(database->Apply(u));
+  tracker->OnApply(u);
+}
+
+void Install(Database* database, StalenessTracker* tracker, ObjectId id,
+             sim::Time generation) {
+  Install(database, tracker, id, generation, generation);
+}
+
 TEST(StalenessNamesTest, CriterionNames) {
   EXPECT_STREQ(StalenessCriterionName(StalenessCriterion::kMaxAge), "MA");
   EXPECT_STREQ(StalenessCriterionName(StalenessCriterion::kUnappliedUpdate),
@@ -56,8 +72,9 @@ TEST(StalenessNamesTest, CriterionNames) {
 
 TEST(MaxAgeTest, FreshUntilAlpha) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
-                           2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAge, 7.0);
   EXPECT_FALSE(tracker.IsStale(kObj));
   sim.RunUntil(6.9);
   EXPECT_FALSE(tracker.IsStale(kObj));
@@ -65,8 +82,9 @@ TEST(MaxAgeTest, FreshUntilAlpha) {
 
 TEST(MaxAgeTest, ObjectExpiresAtAlpha) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
-                           2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAge, 7.0);
   sim.RunUntil(7.5);
   EXPECT_TRUE(tracker.IsStale(kObj));
   EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 2);
@@ -75,11 +93,13 @@ TEST(MaxAgeTest, ObjectExpiresAtAlpha) {
 
 TEST(MaxAgeTest, ApplyRefreshesAndReschedulesExpiry) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
-                           2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAge, 7.0);
   sim.RunUntil(5.0);
-  tracker.OnApply(kObj, 5.0);  // fresh value generated right now
-  sim.RunUntil(11.0);          // 5 + 7 = 12 > 11: still fresh
+  // A fresh value generated right now.
+  Install(&database, &tracker, kObj, 5.0);
+  sim.RunUntil(11.0);  // 5 + 7 = 12 > 11: still fresh
   EXPECT_FALSE(tracker.IsStale(kObj));
   sim.RunUntil(12.5);
   EXPECT_TRUE(tracker.IsStale(kObj));
@@ -87,23 +107,26 @@ TEST(MaxAgeTest, ApplyRefreshesAndReschedulesExpiry) {
 
 TEST(MaxAgeTest, ApplyOfAgedValueCanLeaveObjectStale) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
-                           2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAge, 7.0);
   sim.RunUntil(20.0);
-  tracker.OnApply(kObj, 10.0);  // value already 10 seconds old
+  // A value already 10 seconds old.
+  Install(&database, &tracker, kObj, 10.0);
   EXPECT_TRUE(tracker.IsStale(kObj));
-  tracker.OnApply(kObj, 19.0);
+  Install(&database, &tracker, kObj, 19.0);
   EXPECT_FALSE(tracker.IsStale(kObj));
 }
 
 TEST(MaxAgeTest, StaleCountTracksPerPartition) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
-                           3, 1);
+  Database database(3, 1);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAge, 7.0);
   sim.RunUntil(8.0);  // everything stale
   EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 3);
   EXPECT_EQ(tracker.StaleCount(ObjectClass::kHighImportance), 1);
-  tracker.OnApply({ObjectClass::kLowImportance, 1}, 8.0);
+  Install(&database, &tracker, {ObjectClass::kLowImportance, 1}, 8.0);
   EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 2);
   EXPECT_DOUBLE_EQ(tracker.FractionStaleNow(ObjectClass::kLowImportance),
                    2.0 / 3.0);
@@ -111,12 +134,13 @@ TEST(MaxAgeTest, StaleCountTracksPerPartition) {
 
 TEST(MaxAgeTest, FractionStaleAverageIsExactIntegral) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 5.0,
-                           1, 1);
+  Database database(1, 1);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAge, 5.0);
   // The single low object: fresh [0,5), stale [5,8), fresh [8,13),
-  // stale [13,20]. OnApply at t=8 with generation 8.
+  // stale [13,20]. Installed at t=8 with generation 8.
   sim.RunUntil(8.0);
-  tracker.OnApply({ObjectClass::kLowImportance, 0}, 8.0);
+  Install(&database, &tracker, {ObjectClass::kLowImportance, 0}, 8.0);
   sim.RunUntil(20.0);
   // Stale time: (8-5) + (20-13) = 10 of 20.
   EXPECT_NEAR(tracker.FractionStaleAverage(ObjectClass::kLowImportance, 20.0),
@@ -125,8 +149,9 @@ TEST(MaxAgeTest, FractionStaleAverageIsExactIntegral) {
 
 TEST(MaxAgeTest, ResetObservationDropsHistory) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 5.0,
-                           1, 1);
+  Database database(1, 1);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAge, 5.0);
   sim.RunUntil(10.0);  // stale since t=5
   tracker.ResetObservation();
   sim.RunUntil(20.0);  // stale for the whole observed window
@@ -139,8 +164,9 @@ TEST(MaxAgeTest, ResetObservationDropsHistory) {
 TEST(UnappliedUpdateTest, FreshWithEmptyQueue) {
   sim::Simulator sim;
   UpdateQueue queue(16);
-  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
-                           0.0, 2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, &queue,
+                           StalenessCriterion::kUnappliedUpdate, 0.0);
   sim.RunUntil(100.0);  // no max-age under UU: stays fresh forever
   EXPECT_FALSE(tracker.IsStale(kObj));
 }
@@ -148,8 +174,9 @@ TEST(UnappliedUpdateTest, FreshWithEmptyQueue) {
 TEST(UnappliedUpdateTest, NewerQueuedUpdateMakesStale) {
   sim::Simulator sim;
   UpdateQueue queue(16);
-  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
-                           0.0, 2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, &queue,
+                           StalenessCriterion::kUnappliedUpdate, 0.0);
   sim.RunUntil(1.0);
   Enqueue(&queue, &tracker, MakeUpdate(1, 0.5));
   EXPECT_TRUE(tracker.IsStale(kObj));
@@ -159,21 +186,23 @@ TEST(UnappliedUpdateTest, NewerQueuedUpdateMakesStale) {
 TEST(UnappliedUpdateTest, ApplyingTheUpdateMakesFresh) {
   sim::Simulator sim;
   UpdateQueue queue(16);
-  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
-                           0.0, 2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, &queue,
+                           StalenessCriterion::kUnappliedUpdate, 0.0);
   const Update u = MakeUpdate(1, 0.5);
   Enqueue(&queue, &tracker, u);
   Dequeue(&queue, &tracker, u);
-  tracker.OnApply(kObj, u.generation_time);
+  Install(&database, &tracker, kObj, u.generation_time);
   EXPECT_FALSE(tracker.IsStale(kObj));
 }
 
 TEST(UnappliedUpdateTest, OlderQueuedUpdateDoesNotMakeStale) {
   sim::Simulator sim;
   UpdateQueue queue(16);
-  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
-                           0.0, 2, 2);
-  tracker.OnApply(kObj, 5.0);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, &queue,
+                           StalenessCriterion::kUnappliedUpdate, 0.0);
+  Install(&database, &tracker, kObj, 5.0);
   Enqueue(&queue, &tracker, MakeUpdate(1, 3.0));  // older than the DB value
   EXPECT_FALSE(tracker.IsStale(kObj));
 }
@@ -181,8 +210,9 @@ TEST(UnappliedUpdateTest, OlderQueuedUpdateDoesNotMakeStale) {
 TEST(UnappliedUpdateTest, LifoApplyLeavesOnlyWorthlessQueuedUpdates) {
   sim::Simulator sim;
   UpdateQueue queue(16);
-  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
-                           0.0, 2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, &queue,
+                           StalenessCriterion::kUnappliedUpdate, 0.0);
   const Update older = MakeUpdate(1, 1.0);
   const Update newer = MakeUpdate(2, 2.0);
   Enqueue(&queue, &tracker, older);
@@ -191,7 +221,7 @@ TEST(UnappliedUpdateTest, LifoApplyLeavesOnlyWorthlessQueuedUpdates) {
   // LIFO: the newest is applied first; the older queued update cannot
   // make the data fresher, so the object is semantically fresh.
   Dequeue(&queue, &tracker, newer);
-  tracker.OnApply(kObj, newer.generation_time);
+  Install(&database, &tracker, kObj, newer.generation_time);
   EXPECT_FALSE(tracker.IsStale(kObj));
   // Discarding the worthless leftover changes nothing.
   Dequeue(&queue, &tracker, older);
@@ -201,8 +231,9 @@ TEST(UnappliedUpdateTest, LifoApplyLeavesOnlyWorthlessQueuedUpdates) {
 TEST(UnappliedUpdateTest, DiscardingOnlyPendingUpdateMakesFresh) {
   sim::Simulator sim;
   UpdateQueue queue(16);
-  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
-                           0.0, 2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, &queue,
+                           StalenessCriterion::kUnappliedUpdate, 0.0);
   const Update u = MakeUpdate(1, 1.0);
   Enqueue(&queue, &tracker, u);
   EXPECT_TRUE(tracker.IsStale(kObj));
@@ -213,14 +244,15 @@ TEST(UnappliedUpdateTest, DiscardingOnlyPendingUpdateMakesFresh) {
 TEST(UnappliedUpdateTest, FractionAverageIntegratesQueueResidence) {
   sim::Simulator sim;
   UpdateQueue queue(16);
-  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
-                           0.0, 1, 1);
+  Database database(1, 1);
+  StalenessTracker tracker(&sim, &database, &queue,
+                           StalenessCriterion::kUnappliedUpdate, 0.0);
   const Update u = MakeUpdate(1, 1.0);
   sim.RunUntil(2.0);
   Enqueue(&queue, &tracker, u);
   sim.RunUntil(6.0);
   Dequeue(&queue, &tracker, u);
-  tracker.OnApply({ObjectClass::kLowImportance, 0}, 1.0);
+  Install(&database, &tracker, {ObjectClass::kLowImportance, 0}, 1.0);
   sim.RunUntil(10.0);
   // Stale during [2,6] of [0,10].
   EXPECT_NEAR(tracker.FractionStaleAverage(ObjectClass::kLowImportance, 10.0),
@@ -241,13 +273,14 @@ TEST(MaxAgeArrivalTest, NamesAndDetectability) {
 
 TEST(MaxAgeArrivalTest, AgesOnArrivalNotGeneration) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAgeArrival,
-                           7.0, 2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAgeArrival, 7.0);
   sim.RunUntil(10.0);
   // Value generated at 2 but arrived at 10: under generation-MA it
   // would already be stale (age 8 > 7); under arrival-MA it is fresh
   // until 17.
-  tracker.OnApply(kObj, /*generation_time=*/2.0, /*arrival_time=*/10.0);
+  Install(&database, &tracker, kObj, /*generation=*/2.0, /*arrival=*/10.0);
   EXPECT_FALSE(tracker.IsStale(kObj));
   sim.RunUntil(16.9);
   EXPECT_FALSE(tracker.IsStale(kObj));
@@ -257,19 +290,49 @@ TEST(MaxAgeArrivalTest, AgesOnArrivalNotGeneration) {
 
 TEST(MaxAgeArrivalTest, InitialObjectsExpireAtAlpha) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAgeArrival,
-                           5.0, 2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAgeArrival, 5.0);
   sim.RunUntil(5.5);
   EXPECT_TRUE(tracker.IsStale(kObj));
 }
 
-TEST(MaxAgeArrivalTest, TwoArgOnApplyTreatsArrivalAsGeneration) {
+TEST(MaxAgeArrivalTest, ArrivalAtGenerationAgesLikeGenerationMa) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAgeArrival,
-                           7.0, 2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAgeArrival, 7.0);
   sim.RunUntil(10.0);
-  tracker.OnApply(kObj, 2.0);  // arrival defaults to generation: age 8 > 7
+  // Arrived the moment it was generated: age 8 > 7.
+  Install(&database, &tracker, kObj, 2.0);
   EXPECT_TRUE(tracker.IsStale(kObj));
+}
+
+// ---------- the shared object record ----------------------------------------
+
+TEST(ObjectRecordTest, MaxAgeRunsOnTheEffectiveGenerationOfPartialUpdates) {
+  sim::Simulator sim;
+  Database database(2, 2, /*n_attributes=*/2);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAge, 7.0);
+  sim.RunUntil(5.0);
+  Update partial = MakeUpdate(1, 5.0);
+  partial.attribute = 0;
+  ASSERT_TRUE(database.Apply(partial));
+  tracker.OnApply(partial);
+  // Attribute 1 is still at generation 0, so the object is too.
+  sim.RunUntil(7.0);
+  EXPECT_TRUE(tracker.IsStale(kObj));
+  partial = MakeUpdate(2, 6.0);
+  partial.attribute = 1;
+  ASSERT_TRUE(database.Apply(partial));
+  tracker.OnApply(partial);
+  // Now as fresh as attribute 0: generation 5, stale from 12.
+  EXPECT_FALSE(tracker.IsStale(kObj));
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 1);
+  sim.RunUntil(12.0);
+  EXPECT_TRUE(tracker.IsStale(kObj));
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 2);
 }
 
 // ---------- Combined -----------------------------------------------------------
@@ -277,8 +340,9 @@ TEST(MaxAgeArrivalTest, TwoArgOnApplyTreatsArrivalAsGeneration) {
 TEST(CombinedTest, StaleUnderEitherCriterion) {
   sim::Simulator sim;
   UpdateQueue queue(16);
-  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kCombined,
-                           7.0, 2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, &queue,
+                           StalenessCriterion::kCombined, 7.0);
   // UU-stale before alpha.
   sim.RunUntil(1.0);
   Enqueue(&queue, &tracker, MakeUpdate(1, 0.5));
@@ -292,24 +356,26 @@ TEST(CombinedTest, StaleUnderEitherCriterion) {
 TEST(CombinedTest, FreshRequiresBoth) {
   sim::Simulator sim;
   UpdateQueue queue(16);
-  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kCombined,
-                           7.0, 2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, &queue,
+                           StalenessCriterion::kCombined, 7.0);
   sim.RunUntil(8.0);
   const Update u = MakeUpdate(1, 7.9);
   Enqueue(&queue, &tracker, u);
   EXPECT_TRUE(tracker.IsStale(kObj));  // stale under both
   Dequeue(&queue, &tracker, u);
-  tracker.OnApply(kObj, u.generation_time);
+  Install(&database, &tracker, kObj, u.generation_time);
   EXPECT_FALSE(tracker.IsStale(kObj));
 }
 
-// ---------- misc ------------------------------------------------------------------
+// ---------- misc ------------------------------------------------------------
 
 TEST(StalenessTrackerTest, HighPartitionIsIndependent) {
   sim::Simulator sim;
   UpdateQueue queue(16);
-  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
-                           0.0, 2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, &queue,
+                           StalenessCriterion::kUnappliedUpdate, 0.0);
   Enqueue(&queue, &tracker, MakeUpdate(1, 1.0, kHighObj));
   EXPECT_TRUE(tracker.IsStale(kHighObj));
   EXPECT_FALSE(tracker.IsStale(kObj));
@@ -321,20 +387,25 @@ TEST(StalenessTrackerTest, HighPartitionIsIndependent) {
 
 TEST(StalenessTrackerDeathTest, InvalidUse) {
   sim::Simulator sim;
-  EXPECT_DEATH(
-      StalenessTracker(&sim, nullptr, StalenessCriterion::kMaxAge, 0.0, 2, 2),
-      "max age");
-  EXPECT_DEATH(StalenessTracker(&sim, nullptr,
-                                StalenessCriterion::kUnappliedUpdate, 0.0, 2,
-                                2),
+  Database database(2, 2);
+  EXPECT_DEATH(StalenessTracker(&sim, &database, nullptr,
+                                StalenessCriterion::kMaxAge, 0.0),
+               "max age");
+  EXPECT_DEATH(StalenessTracker(&sim, &database, nullptr,
+                                StalenessCriterion::kUnappliedUpdate, 0.0),
                "reads an update queue");
-  EXPECT_DEATH(
-      StalenessTracker(&sim, nullptr, StalenessCriterion::kCombined, 7.0, 2,
-                       2),
-      "reads an update queue");
+  EXPECT_DEATH(StalenessTracker(&sim, &database, nullptr,
+                                StalenessCriterion::kCombined, 7.0),
+               "reads an update queue");
+  // The tracker's per-object state starts with the database's.
+  Database written(2, 2);
+  ASSERT_TRUE(written.Apply(MakeUpdate(1, 1.0)));
+  EXPECT_DEATH(StalenessTracker(&sim, &written, nullptr,
+                                StalenessCriterion::kMaxAge, 7.0),
+               "unwritten database");
   UpdateQueue queue(4);
-  StalenessTracker tracker(&sim, &queue, StalenessCriterion::kUnappliedUpdate,
-                           0.0, 2, 2);
+  StalenessTracker tracker(&sim, &database, &queue,
+                           StalenessCriterion::kUnappliedUpdate, 0.0);
   Enqueue(&queue, &tracker, MakeUpdate(1, 1.0));
   // The tracker keeps no copy of the queue to check against; removing
   // an update under another object's identity trips the queue's own
@@ -348,8 +419,9 @@ TEST(StalenessTrackerDeathTest, InvalidUse) {
 
 TEST(StalenessTrackerTest, AccessorsExposeConfiguration) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
-                           2, 2);
+  Database database(2, 2);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAge, 7.0);
   EXPECT_EQ(tracker.criterion(), StalenessCriterion::kMaxAge);
   EXPECT_DOUBLE_EQ(tracker.max_age(), 7.0);
 }
@@ -358,25 +430,32 @@ TEST(StalenessTrackerTest, AccessorsExposeConfiguration) {
 
 TEST(LazyExpiryTest, MillionObjectTrackerSchedulesNoEvents) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
-                           500000, 500000);
+  Database database(500000, 500000);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAge, 7.0);
   EXPECT_EQ(sim.events_pending(), 0u);
-  tracker.OnApply({ObjectClass::kLowImportance, 3}, 0.0);
+  sim.RunUntil(0.5);
+  Install(&database, &tracker, {ObjectClass::kLowImportance, 3}, 0.5);
   EXPECT_EQ(sim.events_pending(), 0u);
   sim.RunUntil(7.0);
-  // The whole t = 0 cohort expires at exactly alpha.
-  EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 500000);
+  // The rest of the t = 0 cohort expires at exactly alpha.
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 499999);
   EXPECT_EQ(tracker.StaleCount(ObjectClass::kHighImportance), 500000);
+  sim.RunUntil(7.5);
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 500000);
 }
 
 TEST(LazyExpiryTest, ReappliedObjectExpiresOnceAtItsNewestTime) {
   sim::Simulator sim;
-  StalenessTracker tracker(&sim, nullptr, StalenessCriterion::kMaxAge, 7.0,
-                           1, 1);
+  Database database(1, 1);
+  StalenessTracker tracker(&sim, &database, nullptr,
+                           StalenessCriterion::kMaxAge, 7.0);
   sim.RunUntil(1.0);
-  tracker.OnApply(kObj, 1.0);  // leaves the cohort; expiry armed at 8
+  // Leaves the cohort; expiry armed at 8.
+  Install(&database, &tracker, kObj, 1.0);
   sim.RunUntil(3.0);
-  tracker.OnApply(kObj, 3.0);  // supersedes it; expiry now at 10
+  // Supersedes it; expiry now at 10.
+  Install(&database, &tracker, kObj, 3.0);
   sim.RunUntil(8.5);
   EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 0);
   sim.RunUntil(10.0);
@@ -540,12 +619,12 @@ TEST_P(LazyExpiryEquivalenceTest, MatchesPerObjectEventsBitForBit) {
   const StalenessCriterion criterion = GetParam();
   sim::Simulator sim;
   UpdateQueue queue(1u << 20);  // never full: no evictions here
-  StalenessTracker lazy(&sim, &queue, criterion, kAlpha, kLow, kHigh);
+  Database database(kLow, kHigh);
+  StalenessTracker lazy(&sim, &database, &queue, criterion, kAlpha);
   EventExpiryTracker reference(&sim, criterion, kAlpha, kLow, kHigh);
   sim::RandomStream random(base::RngSeed(static_cast<std::uint64_t>(
       17 + static_cast<int>(criterion))));
 
-  std::vector<double> db_generation(kLow + kHigh, 0.0);
   std::vector<Update> queued;
   // Expiry instants armed so far; the next op can land exactly on one.
   std::priority_queue<double, std::vector<double>, std::greater<>> armed;
@@ -572,12 +651,15 @@ TEST_P(LazyExpiryEquivalenceTest, MatchesPerObjectEventsBitForBit) {
                             : ObjectId{ObjectClass::kHighImportance, k - kLow};
     switch (random.UniformInt(0, 3)) {
       case 0: {  // apply, sometimes of a value already older than alpha
-        const double generation = std::max(
-            db_generation[k], now - random.Uniform(0, 1.5 * kAlpha));
+        const double generation =
+            std::max(database.generation_time(id),
+                     now - random.Uniform(0, 1.5 * kAlpha));
         const double arrival =
             std::min(now, generation + random.Uniform(0, 0.5 * kAlpha));
-        db_generation[k] = generation;
-        lazy.OnApply(id, generation, arrival);
+        Update u = MakeUpdate(0, generation, id);
+        u.arrival_time = arrival;
+        if (!database.Apply(u)) break;  // unworthy: nothing to report
+        lazy.OnApply(u);
         reference.OnApply(id, generation, arrival);
         armed.push((criterion == StalenessCriterion::kMaxAgeArrival
                         ? arrival
@@ -675,7 +757,8 @@ TEST_P(QueueReadEquivalenceTest, MatchesPerObjectQueueCopyBitForBit) {
   const StalenessCriterion criterion = GetParam();
   sim::Simulator sim;
   UpdateQueue queue(24);
-  StalenessTracker tracker(&sim, &queue, criterion, kAlpha, kLow, kHigh);
+  Database database(kLow, kHigh);
+  StalenessTracker tracker(&sim, &database, &queue, criterion, kAlpha);
   EventExpiryTracker reference(&sim, criterion, kAlpha, kLow, kHigh);
   sim::RandomStream random(base::RngSeed(static_cast<std::uint64_t>(
       31 + static_cast<int>(criterion))));
@@ -688,7 +771,6 @@ TEST_P(QueueReadEquivalenceTest, MatchesPerObjectQueueCopyBitForBit) {
     return random.WithProbability(0.5) ? ObjectClass::kLowImportance
                                        : ObjectClass::kHighImportance;
   };
-  std::vector<double> db_generation(kLow + kHigh, 0.0);
   // Armed expiries as (instant, object); the t = 0 cohort is one entry.
   using Armed = std::pair<double, int>;
   std::priority_queue<Armed, std::vector<Armed>, std::greater<>> armed;
@@ -696,9 +778,9 @@ TEST_P(QueueReadEquivalenceTest, MatchesPerObjectQueueCopyBitForBit) {
   auto apply = [&](ObjectId id, double generation) {
     const int k = id.cls == ObjectClass::kLowImportance ? id.index
                                                         : kLow + id.index;
-    if (generation <= db_generation[k]) return;  // unworthy
-    db_generation[k] = generation;
-    tracker.OnApply(id, generation);
+    const Update u = MakeUpdate(0, generation, id);
+    if (!database.Apply(u)) return;  // unworthy
+    tracker.OnApply(u);
     reference.OnApply(id, generation, generation);
     armed.push({generation + kAlpha, k});
   };
